@@ -7,6 +7,7 @@ and with a constant, and of equal or complementary children.  AIGs are
 not canonical; equivalence checking is the SAT solver's job.
 """
 
+import random
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -15,11 +16,19 @@ from .errors import (
     SatBudgetExceeded,
     UnsatConstraint,
 )
+from .sat import BUDGET, SAT, UNSAT, Solver
 
 TRUE = 1
 FALSE = -1
 
 DEFAULT_NODE_BUDGET = 50_000_000
+
+SIM_BITS = 256       # random input patterns simulated per sweep
+SIM_SEED = 0x5EE9    # fixed, so every sweep of a query is reproducible
+
+# the integer counters a SatSweep reports, in report order
+SWEEP_STATS = ("sat_calls", "sat_conflicts", "sweep_candidates",
+               "sweep_merges", "sweep_refuted")
 
 
 class AigStore:
@@ -235,8 +244,6 @@ def forced_constants(store, constraint, indices, solve, conflict_budget=None):
     unsatisfiable, i -> False when constraint AND b_i is.  `solve` is
     sat.solve_cnf or a compatible callable.
     """
-    from .sat import SAT, UNSAT  # local import keeps aig importable standalone
-
     cnf, out = store.to_cnf(constraint)
     kind, model = solve(cnf.num_vars, cnf.clauses, assumptions=[out],
                         conflict_budget=conflict_budget)
@@ -258,3 +265,183 @@ def forced_constants(store, constraint, indices, solve, conflict_budget=None):
         elif kind2 is not SAT:
             raise SatBudgetExceeded("forced-constant analysis ran out of conflicts")
     return forced
+
+
+def _simulate(nodes, order, inputs, mask):
+    """Bit-parallel values of the nodes in `order` (children first).
+
+    `inputs` maps each variable node to its pattern; bit k of every
+    value is the node's value under pattern k.
+    """
+    sig = {1: mask}
+    for n in order:
+        desc = nodes[n]
+        if desc[0] == "var":
+            sig[n] = inputs[n]
+        else:
+            _, a, b = desc
+            va = sig[a] if a > 0 else mask ^ sig[-a]
+            vb = sig[b] if b > 0 else mask ^ sig[-b]
+            sig[n] = va & vb
+    return sig
+
+
+class SatSweep:
+    """Decides satisfiability of AIG nodes on one incremental solver.
+
+    A query is first simulated on SIM_BITS seeded random patterns; a
+    pattern that makes the root true answers SAT with no search.
+    Otherwise the root's cone is rebuilt bottom-up (SAT sweeping, as in
+    FRAIGs): a node whose simulation signature matches an earlier node,
+    or a constant, is merged into it only once the solver proves the
+    two equivalent under assumptions.  A refuted candidate stays
+    unmerged and its model becomes one more simulation pattern, which
+    splits the classes it did not fit.  The rebuilt root is then a
+    constant, or one last solve under the root assumption decides it.
+
+    The solver holds the Tseitin clauses of every node it was asked
+    about and all its learnt clauses, across queries.
+    """
+
+    def __init__(self, store):
+        self.store = store
+        self.solver = Solver()
+        self._var = {}  # positive node id -> solver variable
+        self.candidates = 0
+        self.merges = 0
+        self.refuted = 0
+        self._left = None  # conflicts the current query may still spend
+
+    def stats(self):
+        """The SWEEP_STATS counters, over the life of this sweep."""
+        return dict(zip(SWEEP_STATS, (
+            self.solver.calls, self.solver.conflicts, self.candidates,
+            self.merges, self.refuted)))
+
+    def _lit(self, h):
+        """Solver literal code of a signed handle, encoding its cone."""
+        n = abs(h)
+        v = self._var.get(n)
+        if v is None:
+            v = self._encode(n)
+        return 2 * v + (h < 0)
+
+    def _encode(self, root):
+        nodes = self.store._nodes
+        var = self._var
+        solver = self.solver
+        stack = [root]
+        while stack:
+            n = stack[-1]
+            if n in var:
+                stack.pop()
+                continue
+            desc = nodes[n]
+            if desc[0] == "and":
+                todo = [abs(c) for c in desc[1:] if abs(c) not in var]
+                if todo:
+                    stack.extend(todo)
+                    continue
+            stack.pop()
+            v = solver.new_var()
+            var[n] = v
+            if desc[0] == "const":
+                solver.add_clause([2 * v])
+            elif desc[0] == "and":
+                la = 2 * var[abs(desc[1])] + (desc[1] < 0)
+                lb = 2 * var[abs(desc[2])] + (desc[2] < 0)
+                solver.add_clause([2 * v + 1, la])
+                solver.add_clause([2 * v + 1, lb])
+                solver.add_clause([2 * v, la ^ 1, lb ^ 1])
+        return var[root]
+
+    def _solve(self, *handles):
+        """A model making every handle true, or None when there is none."""
+        solver = self.solver
+        before = solver.conflicts
+        kind, model = solver.solve([self._lit(h) for h in handles],
+                                   self._left)
+        if self._left is not None:
+            self._left -= solver.conflicts - before
+        if kind is BUDGET:
+            raise SatBudgetExceeded("SAT conflict budget exhausted")
+        return model
+
+    def _refute(self, h, rep):
+        """A model on which handle h differs from rep, or None."""
+        if rep == FALSE:
+            return self._solve(h)
+        return self._solve(h, -rep) or self._solve(-h, rep)
+
+    def satisfiable(self, root, conflict_budget=None):
+        """Does some assignment make root true?  All solver conflicts of
+        the query count against conflict_budget; SatBudgetExceeded once
+        they pass it."""
+        if root == TRUE or root == FALSE:
+            return root == TRUE
+        store = self.store
+        nodes = store._nodes
+        order = store._walk(root)
+        rng = random.Random(SIM_SEED)
+        width = SIM_BITS
+        mask = (1 << width) - 1
+        inputs = [n for n in order if nodes[n][0] == "var"]
+        sig = _simulate(nodes, order,
+                        {n: rng.getrandbits(width) for n in inputs}, mask)
+        if sig[abs(root)] != (mask if root < 0 else 0):
+            return True
+        self._left = conflict_budget
+        new = {1: TRUE}  # node id -> rebuilt handle of the same function
+        classes = {}     # normalized signature -> first node id with it
+        for i, n in enumerate(order):
+            desc = nodes[n]
+            if desc[0] == "var":
+                h = n
+            else:
+                _, a, b = desc
+                h = store.and_(new[a] if a > 0 else -new[-a],
+                               new[b] if b > 0 else -new[-b])
+            new[n] = h
+            if h == TRUE or h == FALSE:
+                continue
+            while True:
+                # normalize so bit 0 is clear: complements share a class
+                s = sig[n]
+                flip = s & 1
+                key = s ^ mask if flip else s
+                hn = -h if flip else h
+                if key == 0:
+                    rep = FALSE
+                else:
+                    first = classes.setdefault(key, n)
+                    if first == n:
+                        break
+                    rep = new[first] if sig[first] & 1 == 0 else -new[first]
+                if rep == hn:
+                    break
+                self.candidates += 1
+                model = self._refute(hn, rep)
+                if model is None:
+                    self.merges += 1
+                    new[n] = -rep if flip else rep
+                    break
+                self.refuted += 1
+                bits = _simulate(nodes, order, {
+                    m: int(bool(model[self._var[m]]))
+                    if m in self._var else 0 for m in inputs}, 1)
+                if bits[abs(root)] != (root < 0):
+                    return True
+                for m in order:
+                    sig[m] |= bits[m] << width
+                width += 1
+                mask = (1 << width) - 1
+                classes = {}
+                for m in order[:i]:
+                    s = sig[m]
+                    if new[m] not in (TRUE, FALSE):
+                        classes.setdefault(s ^ mask if s & 1 else s, m)
+        out = new[abs(root)]
+        out = -out if root < 0 else out
+        if out == TRUE or out == FALSE:
+            return out == TRUE
+        return self._solve(out) is not None

@@ -249,24 +249,6 @@ class BddStore:
                 env[v] = rng.random() < 0.5
         return env
 
-    def restrict(self, f, index, val):
-        """Cofactor: fix one variable to a constant."""
-        memo = {}
-
-        def rec(n):
-            if n <= TRUE or self._var[n] > index:
-                return n
-            r = memo.get(n)
-            if r is None:
-                if self._var[n] == index:
-                    r = self._hi[n] if val else self._lo[n]
-                else:
-                    r = self._mk(self._var[n], rec(self._hi[n]), rec(self._lo[n]))
-                memo[n] = r
-            return r
-
-        return rec(f)
-
     def compose(self, f, sigma):
         """Simultaneous substitution of functions for variables.
 

@@ -37,8 +37,7 @@ class EventReport:
     kind: str
     result: dict
     wall_time: float = 0.0
-    steps: int = 0
-    nodes: int = 0
+    stats: dict = field(default_factory=dict)  # the proof result's stats
 
 
 @dataclass
@@ -132,8 +131,7 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
                 kind="theorem",
                 result=rjson,
                 wall_time=time.perf_counter() - start,
-                steps=stats.get("steps", 0),
-                nodes=stats.get("nodes", 0))
+                stats=stats)
             saw.add(rjson["status"])
         report.events.append(entry)
         if entry.result["status"] in _FAILURE_KINDS and not keep_going:
@@ -197,7 +195,8 @@ def render_report_text(report):
             continue
         label = status.upper().replace("-", " ")
         lines.append("%-9s %s (%.2fs, %d steps, %d nodes)"
-                     % (label, ev.name, ev.wall_time, ev.steps, ev.nodes))
+                     % (label, ev.name, ev.wall_time, ev.stats.get("steps", 0),
+                        ev.stats.get("nodes", 0)))
         if ev.result.get("case"):
             lines.append("  failing case: %s" % ev.result["case"])
         for w in ev.result.get("warnings", ()):
@@ -237,7 +236,8 @@ def render_report_json(report):
         "exit_status": report.exit_status,
         "events": [
             {"name": ev.name, "kind": ev.kind, "result": ev.result,
-             "wall_time": ev.wall_time, "steps": ev.steps, "nodes": ev.nodes}
+             "wall_time": ev.wall_time, "steps": ev.stats.get("steps", 0),
+             "nodes": ev.stats.get("nodes", 0), "stats": ev.stats}
             for ev in report.events
         ],
     }
@@ -267,7 +267,7 @@ def build_arg_parser():
                    help="Boolean-expression node budget per theorem")
     p.add_argument("--sat-conflicts", type=int,
                    default=DEFAULT_SAT_CONFLICT_BUDGET,
-                   help="SAT conflict budget per call")
+                   help="SAT conflict budget per query (aig mode)")
     p.add_argument("--counterexamples", type=int, default=None,
                    help="how many counterexamples to search for")
     p.add_argument("--json", action="store_true", help="machine-readable report")

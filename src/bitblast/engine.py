@@ -1,14 +1,15 @@
 """Uniform handle over the two Boolean-expression realizations.
 
 All expressions flowing through one proof belong to one handle.  The
-BDD side decides validity by node identity; the AIG side asks the SAT
-solver.  Handles are single-threaded, like the stores they wrap.
+BDD side decides validity by node identity; the AIG side decides it by
+simulation and SAT sweeping on one incremental solver (aig.SatSweep),
+and searches witnesses with a fresh solver per policy.  Handles are
+single-threaded, like the stores they wrap.
 """
 
 from . import aig as _aig
 from . import bdd as _bdd
 from . import sat as _sat
-from .errors import SatBudgetExceeded
 
 DEFAULT_SAT_CONFLICT_BUDGET = 2_000_000
 
@@ -66,6 +67,9 @@ class BddEngine:
     def witness(self, x, policy, indices=(), seed=0):
         return self.store.witness(x, policy, indices, seed)
 
+    def sat_stats(self):
+        return dict.fromkeys(_aig.SWEEP_STATS, 0)
+
     @property
     def num_nodes(self):
         return self.store.num_nodes
@@ -75,12 +79,12 @@ class AigEngine:
     mode = "aig"
 
     def __init__(self, node_budget=_aig.DEFAULT_NODE_BUDGET,
-                 sat_conflict_budget=DEFAULT_SAT_CONFLICT_BUDGET, seed=0):
+                 sat_conflict_budget=DEFAULT_SAT_CONFLICT_BUDGET):
         self.store = _aig.AigStore(node_budget)
         self.true = _aig.TRUE
         self.false = _aig.FALSE
         self.sat_conflict_budget = sat_conflict_budget
-        self.seed = seed
+        self.sweep = _aig.SatSweep(self.store)
 
     def const(self, flag):
         return self.store.const(flag)
@@ -118,31 +122,11 @@ class AigEngine:
     def support(self, x):
         return self.store.support(x)
 
-    def _solve(self, node, policy="zeros", seed=None):
-        cnf, out = self.store.to_cnf(node)
-        kind, model = _sat.solve_cnf(
-            cnf.num_vars, cnf.clauses, assumptions=[out],
-            conflict_budget=self.sat_conflict_budget, polarity=policy,
-            seed=self.seed if seed is None else seed)
-        if kind is _sat.BUDGET:
-            raise SatBudgetExceeded("SAT conflict budget exhausted")
-        return kind, model, cnf
-
     def valid(self, x):
-        if x == _aig.TRUE:
-            return True
-        if x == _aig.FALSE:
-            return False
-        kind, _, _ = self._solve(self.store.not_(x))
-        return kind is _sat.UNSAT
+        return not self.sweep.satisfiable(-x, self.sat_conflict_budget)
 
     def satisfiable(self, x):
-        if x == _aig.TRUE:
-            return True
-        if x == _aig.FALSE:
-            return False
-        kind, _, _ = self._solve(x)
-        return kind is _sat.SAT
+        return self.sweep.satisfiable(x, self.sat_conflict_budget)
 
     def witness(self, x, policy, indices=(), seed=0):
         if x == _aig.FALSE:
@@ -152,12 +136,15 @@ class AigEngine:
                                 conflict_budget=self.sat_conflict_budget,
                                 seed=seed)
 
+    def sat_stats(self):
+        return self.sweep.stats()
+
     @property
     def num_nodes(self):
         return self.store.num_nodes
 
 
-def make_engine(mode, node_budget=None, sat_conflict_budget=None, seed=0):
+def make_engine(mode, node_budget=None, sat_conflict_budget=None):
     if node_budget is None:
         node_budget = _bdd.DEFAULT_NODE_BUDGET
     if sat_conflict_budget is None:
@@ -165,5 +152,5 @@ def make_engine(mode, node_budget=None, sat_conflict_budget=None, seed=0):
     if mode == "bdd":
         return BddEngine(node_budget)
     if mode == "aig":
-        return AigEngine(node_budget, sat_conflict_budget, seed)
+        return AigEngine(node_budget, sat_conflict_budget)
     raise ValueError("unknown mode %r" % (mode,))

@@ -476,7 +476,7 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
             return CoverageFailed(variable=failed[0], witness=failed[1])
         return CoverageOk()
     eng = make_engine(mode, node_budget=opts.node_budget,
-                      sat_conflict_budget=opts.sat_conflict_budget, seed=seed)
+                      sat_conflict_budget=opts.sat_conflict_budget)
     state = InterpState(cfg.step_limit)
     interp = Interp(defs, cfg, eng, state)
     indices = []
@@ -561,6 +561,7 @@ def _finish(result, state, eng):
         "merges": state.merges,
         "nodes": eng.num_nodes,
         "dispatch": dict(state.dispatch),
+        **eng.sat_stats(),
     }
     return result
 

@@ -1,14 +1,23 @@
-"""A small complete CDCL SAT solver.
+"""A small complete incremental CDCL SAT solver.
 
-First-UIP clause learning, two watched literals, Luby restarts, and
-phase saving whose initial phases come from the polarity policy
-(zeros: decide false first, ones: true first, random: seeded).  The
-policies are decision preferences only, not guaranteed extremal
-models.  Runs are deterministic for a fixed seed and budget.
+First-UIP clause learning with recursive minimization, two watched
+literals, VSIDS, Luby restarts, reduction of the learnt clauses by
+literal block distance, and phase saving whose initial phases come
+from the polarity policy (zeros: decide false first, ones: true first,
+random: seeded).  The policies are decision preferences only, not
+guaranteed extremal models.  Runs are deterministic for a fixed seed
+and budget.
+
+Literals are MiniSat codes: variable v (numbered from 1) has the
+positive literal 2v and the negative literal 2v + 1, so negation is
+`code ^ 1` and the variable is `code >> 1`.  Values and watch lists
+are flat lists indexed by literal code.  One `Solver` answers any
+number of `solve` calls under assumptions; clauses may be added
+between calls, and learnt clauses carry over from call to call.
 """
 
 import random
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 
 from .errors import SatBudgetExceeded
 
@@ -18,6 +27,8 @@ BUDGET = "budget"
 
 _RESTART_BASE = 64
 _ACT_RESCALE = 1e100
+_LEARNT_MIN = 2000    # learnt clauses kept before the first reduction
+_LEARNT_GROWTH = 1.1  # growth of that limit at each reduction
 
 
 def _luby(i):
@@ -33,206 +44,328 @@ def _luby(i):
     return 1 << seq
 
 
-class _Solver:
-    def __init__(self, num_vars, polarity, seed):
-        n = num_vars
-        self.nvars = n
-        self.assign = [None] * (n + 1)
-        self.level = [0] * (n + 1)
-        self.reason = [None] * (n + 1)
+def lit_code(lit):
+    """The literal code of a signed DIMACS literal."""
+    return 2 * lit if lit > 0 else -2 * lit + 1
+
+
+class Solver:
+    """Incremental CDCL over literal codes; single-threaded."""
+
+    def __init__(self, polarity="zeros", seed=0):
+        if polarity not in ("zeros", "ones", "random"):
+            raise ValueError("unknown polarity policy %r" % (polarity,))
+        self.polarity = polarity
+        self._rng = random.Random(seed)
+        if polarity == "random":
+            self._rng.random()  # variable 0 is unused but takes a draw
+        self.nvars = 0
+        self.vals = [None, None]  # per literal code: True, False or None
+        self.watches = [[], []]   # per literal code: clauses watching it
+        self.level = [0]
+        self.reason = [None]
+        self.activity = [0.0]
+        self.phase = [False]
+        self.seen = [False]
+        self.heaped = [None]  # per variable: activity of its live heap entry
         self.trail = []
         self.lim = []
         self.qhead = 0
-        self.watches = {}
-        self.clauses = []
-        self.activity = [0.0] * (n + 1)
-        self.var_inc = 1.0
         self.heap = []
-        self.seen = [False] * (n + 1)
+        self.var_inc = 1.0
         self.ok = True
-        rng = random.Random(seed)
-        if polarity == "zeros":
-            self.phase = [False] * (n + 1)
-        elif polarity == "ones":
-            self.phase = [True] * (n + 1)
-        elif polarity == "random":
-            self.phase = [rng.random() < 0.5 for _ in range(n + 1)]
+        self.learnts = []   # (literal block distance, clause), oldest first
+        self.max_learnts = _LEARNT_MIN
+        self.calls = 0      # solve calls answered, over the solver's life
+        self.conflicts = 0  # conflicts analyzed, over the solver's life
+
+    def new_var(self):
+        """A fresh variable number."""
+        self.nvars += 1
+        v = self.nvars
+        self.vals += (None, None)
+        self.watches += ([], [])
+        self.level.append(0)
+        self.reason.append(None)
+        self.activity.append(0.0)
+        self.seen.append(False)
+        self.heaped.append(0.0)
+        if self.polarity == "random":
+            self.phase.append(self._rng.random() < 0.5)
         else:
-            raise ValueError("unknown polarity policy %r" % (polarity,))
-        for v in range(1, n + 1):
-            heappush(self.heap, (0.0, v))
+            self.phase.append(self.polarity == "ones")
+        heappush(self.heap, (0.0, v))
+        return v
 
     # -- assignment plumbing --------------------------------------------
 
-    def value(self, lit):
-        a = self.assign[abs(lit)]
-        if a is None:
-            return None
-        return a if lit > 0 else not a
-
-    def enqueue(self, lit, reason):
-        v = abs(lit)
-        val = lit > 0
-        cur = self.assign[v]
+    def _enqueue(self, code, reason):
+        vals = self.vals
+        cur = vals[code]
         if cur is not None:
-            return cur == val
-        self.assign[v] = val
+            return cur
+        vals[code] = True
+        vals[code ^ 1] = False
+        v = code >> 1
         self.level[v] = len(self.lim)
         self.reason[v] = reason
-        self.trail.append(lit)
+        self.trail.append(code)
         return True
 
-    def _watch(self, lit, clause):
-        self.watches.setdefault(lit, []).append(clause)
+    def add_clause(self, codes):
+        """Add a clause of literal codes at decision level 0.
 
-    def add_clause(self, lits):
+        Literals already false at level 0 are dropped and clauses
+        already true there are skipped, so the two watched literals of
+        every stored clause are unassigned when it is added.
+        """
         if not self.ok:
             return
+        self.backtrack(0)
+        vals = self.vals
         seen = set()
         out = []
-        for l in lits:
-            if -l in seen:
-                return  # tautology
-            if l in seen:
+        for c in codes:
+            if c ^ 1 in seen or vals[c] is True:
+                return  # tautology, or satisfied at level 0
+            if c in seen or vals[c] is False:
                 continue
-            seen.add(l)
-            out.append(l)
+            seen.add(c)
+            out.append(c)
         if not out:
             self.ok = False
             return
         if len(out) == 1:
-            if not self.enqueue(out[0], None):
-                self.ok = False
+            self._enqueue(out[0], None)
             return
-        self.clauses.append(out)
-        self._watch(out[0], out)
-        self._watch(out[1], out)
+        self.watches[out[0]].append(out)
+        self.watches[out[1]].append(out)
 
     # -- search ----------------------------------------------------------
 
     def propagate(self):
-        while self.qhead < len(self.trail):
-            p = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -p
-            ws = self.watches.get(neg)
+        """Unit propagation; the conflicting clause, or None."""
+        vals = self.vals
+        watches = self.watches
+        trail = self.trail
+        level = self.level
+        reason = self.reason
+        lvl = len(self.lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = trail[qhead] ^ 1
+            qhead += 1
+            ws = watches[neg]
             if not ws:
                 continue
             keep = []
-            i = 0
-            n = len(ws)
-            while i < n:
-                clause = ws[i]
-                i += 1
-                if clause[0] == neg:
-                    clause[0], clause[1] = clause[1], clause[0]
+            watches[neg] = keep
+            rest = iter(ws)
+            for clause in rest:
                 first = clause[0]
-                if self.value(first) is True:
+                if first == neg:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = neg
+                vf = vals[first]
+                if vf is True:
                     keep.append(clause)
                     continue
-                moved = False
                 for k in range(2, len(clause)):
                     lk = clause[k]
-                    if self.value(lk) is not False:
+                    if vals[lk] is not False:
                         clause[1] = lk
                         clause[k] = neg
-                        self._watch(lk, clause)
-                        moved = True
+                        watches[lk].append(clause)
                         break
-                if moved:
-                    continue
-                keep.append(clause)
-                if self.value(first) is False:
-                    keep.extend(ws[i:])
-                    self.watches[neg] = keep
-                    return clause
-                self.enqueue(first, clause)
-            self.watches[neg] = keep
+                else:
+                    keep.append(clause)
+                    if vf is False:
+                        keep.extend(rest)
+                        self.qhead = qhead
+                        return clause
+                    vals[first] = True
+                    vals[first ^ 1] = False
+                    v = first >> 1
+                    level[v] = lvl
+                    reason[v] = clause
+                    trail.append(first)
+        self.qhead = qhead
         return None
 
-    def bump(self, v):
+    def _bump(self, v):
         act = self.activity[v] + self.var_inc
         self.activity[v] = act
         if act > _ACT_RESCALE:
-            for u in range(1, self.nvars + 1):
-                self.activity[u] *= 1e-100
-            self.var_inc *= 1e-100
-            act = self.activity[v]
-        heappush(self.heap, (-act, v))
+            self._rescale()
+        else:
+            heappush(self.heap, (-act, v))
+            self.heaped[v] = act
+
+    def _rescale(self):
+        activity = self.activity
+        for u in range(1, self.nvars + 1):
+            activity[u] *= 1e-100
+        self.var_inc *= 1e-100
+        vals = self.vals
+        self.heaped = [None] * (self.nvars + 1)
+        self.heap = []
+        for u in range(1, self.nvars + 1):
+            if vals[2 * u] is None:
+                self.heap.append((-activity[u], u))
+                self.heaped[u] = activity[u]
+        heapify(self.heap)
 
     def analyze(self, confl):
+        """First-UIP learnt clause and the level to backjump to."""
         seen = self.seen
+        level = self.level
+        trail = self.trail
         touched = []
         learnt = [None]
         counter = 0
         p = None
-        index = len(self.trail)
+        index = len(trail)
         cur_level = len(self.lim)
         c = confl
         while True:
             for q in (c if p is None else c[1:]):
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
                     touched.append(v)
-                    self.bump(v)
-                    if self.level[v] >= cur_level:
+                    self._bump(v)
+                    if level[v] >= cur_level:
                         counter += 1
                     else:
                         learnt.append(q)
             while True:
                 index -= 1
-                p = self.trail[index]
-                if seen[abs(p)]:
+                p = trail[index]
+                if seen[p >> 1]:
                     break
             counter -= 1
             if counter == 0:
                 break
-            c = self.reason[abs(p)]
+            c = self.reason[p >> 1]
+        learnt[0] = p ^ 1
+        if len(learnt) > 2:
+            self._minimize(learnt, touched)
         for v in touched:
             seen[v] = False
-        learnt[0] = -p
         if len(learnt) == 1:
             return learnt, 0
         max_i = 1
         for i in range(2, len(learnt)):
-            if self.level[abs(learnt[i])] > self.level[abs(learnt[max_i])]:
+            if level[learnt[i] >> 1] > level[learnt[max_i] >> 1]:
                 max_i = i
         learnt[1], learnt[max_i] = learnt[max_i], learnt[1]
-        return learnt, self.level[abs(learnt[1])]
+        return learnt, level[learnt[1] >> 1]
+
+    def _minimize(self, learnt, touched):
+        """Drop the learnt literals that the others imply through reason
+        clauses (MiniSat's recursive minimization).  Marks stay in
+        `seen` for the caller to clear through `touched`."""
+        level = self.level
+        reason = self.reason
+        seen = self.seen
+        levels = 0  # a bit per decision level (mod 32) of the clause
+        for q in learnt[1:]:
+            levels |= 1 << (level[q >> 1] & 31)
+        j = 1
+        for q in learnt[1:]:
+            if reason[q >> 1] is None or not self._implied(q, levels,
+                                                           touched):
+                learnt[j] = q
+                j += 1
+        del learnt[j:]
+
+    def _implied(self, lit, levels, touched):
+        level = self.level
+        reason = self.reason
+        seen = self.seen
+        stack = [lit]
+        top = len(touched)
+        while stack:
+            for q in reason[stack.pop() >> 1][1:]:
+                v = q >> 1
+                if seen[v] or level[v] == 0:
+                    continue
+                if reason[v] is None or not (1 << (level[v] & 31)) & levels:
+                    for u in touched[top:]:
+                        seen[u] = False
+                    del touched[top:]
+                    return False
+                seen[v] = True
+                touched.append(v)
+                stack.append(q)
+        return True
+
+    def _reduce(self):
+        """Forget the learnt clauses of highest literal block distance,
+        half of them, keeping glue clauses (distance 2 or less).  Runs at
+        level 0, where no learnt clause is the reason of a literal that
+        analysis may visit."""
+        ranked = sorted(self.learnts, key=lambda e: e[0])
+        half = len(ranked) // 2
+        gone = {id(c) for lbd, c in ranked[half:] if lbd > 2}
+        self.learnts = [e for e in self.learnts if id(e[1]) not in gone]
+        for ws in self.watches:
+            ws[:] = [c for c in ws if id(c) not in gone]
+        self.max_learnts *= _LEARNT_GROWTH
 
     def backtrack(self, target):
         if len(self.lim) <= target:
             return
         bound = self.lim[target]
-        for lit in reversed(self.trail[bound:]):
-            v = abs(lit)
-            self.phase[v] = lit > 0
-            self.assign[v] = None
-            self.reason[v] = None
-            heappush(self.heap, (-self.activity[v], v))
+        vals = self.vals
+        phase = self.phase
+        reason = self.reason
+        activity = self.activity
+        heap = self.heap
+        heaped = self.heaped
+        for code in reversed(self.trail[bound:]):
+            v = code >> 1
+            phase[v] = not code & 1
+            vals[code] = vals[code ^ 1] = None
+            reason[v] = None
+            if heaped[v] != activity[v]:
+                heappush(heap, (-activity[v], v))
+                heaped[v] = activity[v]
         del self.trail[bound:]
         del self.lim[target:]
         self.qhead = bound
 
-    def decide(self):
-        while self.heap:
+    def _decide(self):
+        """Branch on the unassigned variable of highest activity.  Every
+        unassigned variable has a live heap entry; entries whose
+        activity is out of date are skipped."""
+        vals = self.vals
+        while True:
             negact, v = heappop(self.heap)
-            if self.assign[v] is None and -negact == self.activity[v]:
-                self.lim.append(len(self.trail))
-                self.enqueue(v if self.phase[v] else -v, None)
-                return True
-        # stale entries only; rebuild for any unassigned stragglers
-        for v in range(1, self.nvars + 1):
-            if self.assign[v] is None:
-                self.lim.append(len(self.trail))
-                self.enqueue(v if self.phase[v] else -v, None)
-                return True
-        return False
+            if -negact == self.activity[v]:
+                self.heaped[v] = None
+                if vals[2 * v] is None:
+                    break
+        self.lim.append(len(self.trail))
+        self._enqueue(2 * v if self.phase[v] else 2 * v + 1, None)
 
-    def search(self, conflict_budget):
+    def solve(self, assumptions=(), conflict_budget=None):
+        """Decide the clauses under the assumed literal codes.
+
+        Returns (SAT, model) with the model a list of bools indexed by
+        variable (index 0 unused), (UNSAT, None), or (BUDGET, None)
+        once more than conflict_budget conflicts have been analyzed in
+        this call.  The solver is back at level 0 afterwards and can be
+        extended and asked again; UNSAT under assumptions says nothing
+        about the clauses alone.
+        """
+        self.calls += 1
         if not self.ok:
             return UNSAT, None
+        vals = self.vals
+        trail = self.trail
+        lim = self.lim
         conflicts = 0
         restarts = 0
         since_restart = 0
@@ -240,50 +373,70 @@ class _Solver:
         while True:
             confl = self.propagate()
             if confl is not None:
-                if not self.lim:
+                if not lim:
+                    self.ok = False
                     return UNSAT, None
                 conflicts += 1
+                self.conflicts += 1
                 since_restart += 1
                 if conflict_budget is not None and conflicts > conflict_budget:
+                    self.backtrack(0)
                     return BUDGET, None
                 learnt, bt = self.analyze(confl)
                 self.backtrack(bt)
-                if len(learnt) == 1:
-                    if not self.enqueue(learnt[0], None):
-                        return UNSAT, None
+                if len(learnt) > 1:
+                    self.learnts.append(
+                        (len({self.level[q >> 1] for q in learnt}), learnt))
+                    self.watches[learnt[0]].append(learnt)
+                    self.watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
                 else:
-                    self.clauses.append(learnt)
-                    self._watch(learnt[0], learnt)
-                    self._watch(learnt[1], learnt)
-                    self.enqueue(learnt[0], learnt)
+                    self._enqueue(learnt[0], None)
                 self.var_inc *= 1.0 / 0.95
                 continue
-            if len(self.trail) == self.nvars:
-                model = {v: self.assign[v] for v in range(1, self.nvars + 1)}
+            if len(lim) < len(assumptions):
+                a = assumptions[len(lim)]
+                if vals[a] is False:
+                    self.backtrack(0)
+                    return UNSAT, None
+                lim.append(len(trail))  # one level per assumption
+                if vals[a] is None:
+                    self._enqueue(a, None)
+                continue
+            if len(trail) == self.nvars:
+                model = [vals[2 * v] for v in range(self.nvars + 1)]
+                self.backtrack(0)
                 return SAT, model
             if since_restart >= limit:
                 restarts += 1
                 since_restart = 0
                 limit = _RESTART_BASE * _luby(restarts)
                 self.backtrack(0)
+                if len(self.learnts) >= self.max_learnts:
+                    self._reduce()
                 continue
-            self.decide()
+            self._decide()
 
 
 def solve_cnf(num_vars, clauses, assumptions=(), conflict_budget=None,
               polarity="zeros", seed=0):
     """Complete decision for a clause set under unit assumptions.
 
-    Returns (SAT, model) with the model total over 1..num_vars,
-    (UNSAT, None), or (BUDGET, None) once conflict_budget conflicts
-    have been analyzed.
+    Clauses and assumptions are signed DIMACS literals.  Returns
+    (SAT, model) with the model total over 1..num_vars, (UNSAT, None),
+    or (BUDGET, None) once conflict_budget conflicts have been analyzed.
     """
-    solver = _Solver(num_vars, polarity, seed)
+    solver = Solver(polarity, seed)
+    for _ in range(num_vars):
+        solver.new_var()
     for clause in clauses:
-        solver.add_clause(clause)
+        solver.add_clause([lit_code(l) for l in clause])
     for a in assumptions:
-        solver.add_clause([a])
-    return solver.search(conflict_budget)
+        solver.add_clause([lit_code(a)])
+    kind, model = solver.solve(conflict_budget=conflict_budget)
+    if kind is SAT:
+        return kind, {v: model[v] for v in range(1, num_vars + 1)}
+    return kind, None
 
 
 def sat_witness(cnf, out_lit, policy, indices, var_map, conflict_budget=None,

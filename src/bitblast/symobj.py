@@ -356,26 +356,6 @@ def render_symobj(obj, eng=None):
     return repr(obj)
 
 
-def symobj_support(obj, eng):
-    """Union of the Boolean supports of every expression inside."""
-    out = set()
-    stack = [obj]
-    while stack:
-        o = stack.pop()
-        if isinstance(o, GBoolean):
-            out |= eng.support(o.val)
-        elif isinstance(o, GNumber):
-            for b in o.bits:
-                out |= eng.support(b)
-        elif isinstance(o, GIte):
-            stack += [o.test, o.then, o.els]
-        elif isinstance(o, GApply):
-            stack += list(o.args)
-        elif isinstance(o, ConsObj):
-            stack += [o.car, o.cdr]
-    return frozenset(out)
-
-
 def map_symobj_exprs(obj, fn):
     """Rebuild an object with fn applied to every Boolean expression."""
     if isinstance(obj, (Concrete, GVar)):

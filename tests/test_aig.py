@@ -1,10 +1,14 @@
 import random
+from pathlib import Path
 
 import pytest
 
-from bitblast.aig import FALSE, TRUE, AigStore, forced_constants, parse_dimacs
+from bitblast.aig import (
+    FALSE, SWEEP_STATS, TRUE, AigStore, forced_constants, parse_dimacs,
+)
 from bitblast.bdd import BddStore
-from bitblast.errors import NodeBudgetExceeded, UnsatConstraint
+from bitblast.engine import AigEngine
+from bitblast.errors import NodeBudgetExceeded, SatBudgetExceeded, UnsatConstraint
 from bitblast.sat import SAT, UNSAT, solve_cnf
 
 from helpers import (
@@ -173,3 +177,115 @@ def test_node_budget():
         acc = TRUE
         for i in range(50):
             acc = s.and_(acc, s.var(i))
+
+
+def _cube(s, rng, nvars):
+    """AND of every input, each with a random sign: true on one minterm."""
+    acc = TRUE
+    for i in range(nvars):
+        acc = s.and_(acc, s.var(i) if rng.random() < 0.5 else -s.var(i))
+    return acc
+
+
+def test_sweep_agrees_with_exhaustive_evaluation():
+    rng = random.Random(41)
+    totals = dict.fromkeys(SWEEP_STATS, 0)
+    for trial in range(50):
+        eng = AigEngine()  # ten queries share one sweep and its solver
+        s = eng.store
+        for k in range(10):
+            nvars = 10 if k % 2 else rng.randrange(1, 11)
+            f = build_formula(s, random_formula(rng, nvars, 5))
+            g = build_formula(s, random_formula(rng, nvars, 5))
+            cube = _cube(s, rng, nvars)
+            node = (f, cube, s.and_(f, cube), s.xor_(f, s.or_(f, cube)),
+                    s.xor_(f, g), s.or_(s.xor_(f, g), cube),
+                    s.iff_(s.and_(f, g), s.and_(g, f)))[(trial + k) % 7]
+            tt = aig_tt(s, node, nvars)
+            assert eng.satisfiable(node) == (tt != 0), (trial, k)
+            assert eng.valid(node) == (tt == (1 << (1 << nvars)) - 1), \
+                (trial, k)
+            if tt:
+                low = (tt & -tt).bit_length() - 1
+                assert s.eval(node, {j: bool(low >> j & 1)
+                                     for j in range(nvars)}) is True
+        for key, n in eng.sat_stats().items():
+            totals[key] += n
+    # every path of the sweep ran: proved merges and refuted candidates
+    assert totals["sweep_merges"] > 0 and totals["sweep_refuted"] > 0
+    assert totals["sweep_candidates"] == (totals["sweep_merges"]
+                                          + totals["sweep_refuted"])
+    assert totals["sat_calls"] > 0 and totals["sat_conflicts"] > 0
+
+
+def _product(s, xs, ys):
+    """Low len(xs) bits of xs * ys, shift-and-add, least bit first."""
+    acc = [FALSE] * len(xs)
+    for j, y in enumerate(ys):
+        carry = FALSE
+        for i in range(j, len(xs)):
+            p = s.and_(xs[i - j], y)
+            acc[i], carry = (s.xor_(s.xor_(acc[i], p), carry),
+                             s.or_(s.and_(acc[i], p),
+                                   s.and_(carry, s.xor_(acc[i], p))))
+    return acc
+
+
+def _commutativity_miter(eng, width):
+    s = eng.store
+    xs = [s.var(i) for i in range(width)]
+    ys = [s.var(width + i) for i in range(width)]
+    miter = FALSE
+    for p, q in zip(_product(s, xs, ys), _product(s, ys, xs)):
+        miter = s.or_(miter, s.xor_(p, q))
+    return miter
+
+
+def test_sweep_charges_every_conflict_to_the_budget():
+    eng = AigEngine()
+    assert not eng.satisfiable(_commutativity_miter(eng, 5))
+    stats = eng.sat_stats()
+    used = stats["sat_conflicts"]
+    assert stats["sweep_merges"] > 0 and stats["sat_calls"] > 2
+    assert used > 0
+    # the whole query fits a budget of its total conflicts, and not one
+    # fewer: the budget covers every solve of the sweep, not each one
+    eng = AigEngine(sat_conflict_budget=used)
+    assert not eng.satisfiable(_commutativity_miter(eng, 5))
+    eng = AigEngine(sat_conflict_budget=used - 1)
+    with pytest.raises(SatBudgetExceeded):
+        eng.satisfiable(_commutativity_miter(eng, 5))
+
+
+MITER = Path(__file__).parent / "fixtures" / "fast_logcount_16_miter.cnf"
+
+
+def _aig_from_tseitin(store, num_vars, clauses):
+    """The AIG a `to_cnf` output plus its output unit encodes, rebuilt
+    bottom-up: variable v is an AND gate when the clause [v, -a, -b]
+    defines it, an input otherwise.  Returns the output handle."""
+    gates = {c[0]: (-c[1], -c[2]) for c in clauses if len(c) == 3}
+    (out,) = [c[0] for c in clauses if len(c) == 1]
+    handle = {}
+    for v in range(1, num_vars + 1):
+        if v in gates:
+            a, b = gates[v]
+            handle[v] = store.and_(handle[abs(a)] * (1 if a > 0 else -1),
+                                   handle[abs(b)] * (1 if b > 0 else -1))
+        else:
+            handle[v] = store.var(v)
+    return handle[abs(out)] * (1 if out > 0 else -1)
+
+
+def test_logcount16_miter_fixture_is_unsat_both_ways():
+    # the decide-stage miter of fast_logcount_16, written once with
+    # Cnf.to_dimacs (output unit included)
+    num_vars, clauses = parse_dimacs(MITER.read_text())
+    kind, _ = solve_cnf(num_vars, clauses)
+    assert kind is UNSAT
+    eng = AigEngine()
+    root = _aig_from_tseitin(eng.store, num_vars, clauses)
+    assert eng.store.num_nodes == num_vars
+    assert not eng.satisfiable(root)
+    stats = eng.sat_stats()
+    assert stats["sweep_merges"] > 0 and stats["sat_conflicts"] > 0

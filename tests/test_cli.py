@@ -1,6 +1,7 @@
 import io
 import json
 
+from bitblast.aig import SWEEP_STATS
 from bitblast.cli import main, render_report_json, render_report_text, run_file
 
 
@@ -173,3 +174,20 @@ def test_run_file_api(corpus):
     assert kinds == ["defun", "theorem", "theorem"]
     assert render_report_text(report)
     json.loads(render_report_json(report))
+
+
+def test_json_stats_carry_sat_counters(corpus):
+    path = str(corpus / "fast_logcount_16.lisp")
+    rc, out, _ = run_cli([path, "--json", "--mode", "aig"])
+    assert rc == 0
+    thm = [e for e in json.loads(out)["events"] if e["kind"] == "theorem"][0]
+    stats = thm["stats"]
+    assert thm["result"]["status"] == "proved"
+    assert stats["steps"] == thm["steps"] and stats["nodes"] == thm["nodes"]
+    assert stats["sat_conflicts"] > 0 and stats["sweep_merges"] > 0
+    assert stats["sat_calls"] > 0
+    assert stats["sweep_candidates"] == (stats["sweep_merges"]
+                                         + stats["sweep_refuted"])
+    rc, out, _ = run_cli([path, "--json", "--mode", "bdd"])
+    thm = [e for e in json.loads(out)["events"] if e["kind"] == "theorem"][0]
+    assert all(thm["stats"][k] == 0 for k in SWEEP_STATS)

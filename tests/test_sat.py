@@ -4,7 +4,9 @@ import pytest
 
 from bitblast.aig import AigStore
 from bitblast.errors import SatBudgetExceeded
-from bitblast.sat import BUDGET, SAT, UNSAT, sat_witness, solve_cnf
+from bitblast.sat import (
+    BUDGET, SAT, UNSAT, Solver, lit_code, sat_witness, solve_cnf,
+)
 
 from helpers import clauses_tt, random_cnf
 
@@ -110,3 +112,64 @@ def test_witness_budget_exhaustion():
     cnf = Cnf(num_vars=nv, clauses=clauses, var_map={})
     with pytest.raises(SatBudgetExceeded):
         sat_witness(cnf, 1, "zeros", [], {}, conflict_budget=5)
+
+
+def test_literal_codes():
+    assert [lit_code(l) for l in (1, -1, 2, -2)] == [2, 3, 4, 5]
+    assert lit_code(-7) == lit_code(7) ^ 1
+
+
+def _brute(clauses, nv, assumptions):
+    return clauses_tt(clauses + [[a] for a in assumptions], nv) != 0
+
+
+def test_incremental_solver_agrees_with_enumeration_and_fresh_solves():
+    rng = random.Random(77)
+    for trial in range(300):
+        nv, clauses = random_cnf(rng, max_clauses=24)
+        solver = Solver(seed=trial)
+        for _ in range(nv):
+            solver.new_var()
+        added = []
+        pending = list(clauses)
+        while True:
+            for _ in range(rng.randrange(1, 6)):
+                if pending:
+                    clause = pending.pop()
+                    added.append(clause)
+                    solver.add_clause([lit_code(l) for l in clause])
+            for _ in range(rng.randrange(1, 4)):
+                assumptions = [rng.choice((1, -1)) * rng.randrange(1, nv + 1)
+                               for _ in range(rng.randrange(0, 4))]
+                kind, model = solver.solve([lit_code(a) for a in assumptions])
+                expect = _brute(added, nv, assumptions)
+                assert (kind is SAT) == expect, (trial, added, assumptions)
+                fresh, _ = solve_cnf(nv, added, assumptions=assumptions)
+                assert fresh is kind, (trial, added, assumptions)
+                if kind is SAT:
+                    assert len(model) == nv + 1
+                    for clause in added + [[a] for a in assumptions]:
+                        assert any((l > 0) == model[abs(l)] for l in clause)
+            if not pending:
+                break
+
+
+def test_budget_return_leaves_solver_usable():
+    # pigeonhole 5/4 whose "each pigeon has a hole" clauses are relaxed
+    # by a selector: UNSAT under -sel, SAT under sel
+    nv, clauses = php_clauses(5, 4)
+    sel = nv + 1
+    solver = Solver()
+    for _ in range(sel):
+        solver.new_var()
+    for clause in clauses:
+        if clause[0] > 0:
+            clause = clause + [sel]
+        solver.add_clause([lit_code(l) for l in clause])
+    assert solver.solve([lit_code(-sel)], conflict_budget=3) == (BUDGET, None)
+    assert solver.conflicts == 4
+    assert solver.solve([lit_code(-sel)]) == (UNSAT, None)
+    kind, model = solver.solve([lit_code(sel)])
+    assert kind is SAT and model[sel] is True
+    assert solver.solve([lit_code(-sel)], conflict_budget=0) == (UNSAT, None)
+    assert solver.calls == 4
