@@ -4,7 +4,8 @@ Nodes are signed integer handles: 1 is the constant true, negation is
 sign flip, and positive handles above 1 name variable or AND nodes in
 the store.  The only rewrites are the local ones: double negation,
 and with a constant, and of equal or complementary children.  AIGs are
-not canonical; equivalence checking is the SAT solver's job.
+not canonical; `SatSweep` decides satisfiability, and with it
+equivalence, by simulation and SAT sweeping on an incremental solver.
 """
 
 import random
@@ -416,7 +417,7 @@ class SatSweep:
                     first = classes.setdefault(key, n)
                     if first == n:
                         break
-                    rep = new[first] if sig[first] & 1 == 0 else -new[first]
+                    rep = -new[first] if sig[first] & 1 else new[first]
                 if rep == hn:
                     break
                 self.candidates += 1
@@ -426,9 +427,10 @@ class SatSweep:
                     new[n] = -rep if flip else rep
                     break
                 self.refuted += 1
+                # inputs the solver never saw cannot tell h from rep
                 bits = _simulate(nodes, order, {
-                    m: int(bool(model[self._var[m]]))
-                    if m in self._var else 0 for m in inputs}, 1)
+                    m: int(model[self._var[m]]) if m in self._var else 0
+                    for m in inputs}, 1)
                 if bits[abs(root)] != (root < 0):
                     return True
                 for m in order:
