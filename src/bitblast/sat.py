@@ -100,17 +100,13 @@ class Solver:
     # -- assignment plumbing --------------------------------------------
 
     def _enqueue(self, code, reason):
-        vals = self.vals
-        cur = vals[code]
-        if cur is not None:
-            return cur
-        vals[code] = True
-        vals[code ^ 1] = False
+        """Assign an unassigned literal true at the current level."""
+        self.vals[code] = True
+        self.vals[code ^ 1] = False
         v = code >> 1
         self.level[v] = len(self.lim)
         self.reason[v] = reason
         self.trail.append(code)
-        return True
 
     def add_clause(self, codes):
         """Add a clause of literal codes at decision level 0.
@@ -385,6 +381,8 @@ class Solver:
                 learnt, bt = self.analyze(confl)
                 self.backtrack(bt)
                 if len(learnt) > 1:
+                    # distinct levels at the conflict; backtracking leaves
+                    # `level` entries in place
                     self.learnts.append(
                         (len({self.level[q >> 1] for q in learnt}), learnt))
                     self.watches[learnt[0]].append(learnt)
