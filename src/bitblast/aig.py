@@ -300,8 +300,8 @@ class SatSweep:
     splits the classes it did not fit.  The rebuilt root is then a
     constant, or one last solve under the root assumption decides it.
 
-    The solver holds the Tseitin clauses of every node it was asked
-    about and all its learnt clauses, across queries.
+    The solver keeps the Tseitin clauses of every node it was asked
+    about, and its learnt clauses, from one query to the next.
     """
 
     def __init__(self, store):
