@@ -400,11 +400,21 @@ def _logcount_impl(ctx, args):
     bs = _int_bits(args[0], eng)
     if bs is None:
         return ctx.g_apply("logcount", args)
+    # Sum the counted bits as a balanced tree, adding adjacent pairs at
+    # each level.  Its partial sums count aligned runs of bits: the same
+    # functions as the fields of a SWAR popcount and some partial sums
+    # of a bit-serial one, so an AIG sweep can merge them with the
+    # circuit under proof.  A one-bit-at-a-time chain shares none.
     sign = bs[-1]
-    acc = (eng.false,)
-    for b in bs[:-1]:
-        acc = _add_bits(eng, acc, (eng.xor_(b, sign), eng.false))
-    return number_obj(acc, eng)
+    terms = ([(eng.xor_(b, sign), eng.false) for b in bs[:-1]]
+             or [(eng.false,)])
+    while len(terms) > 1:
+        paired = [_add_bits(eng, terms[i], terms[i + 1])
+                  for i in range(0, len(terms) - 1, 2)]
+        if len(terms) % 2:
+            paired.append(terms[-1])
+        terms = paired
+    return number_obj(terms[0], eng)
 
 
 def _expt_impl(ctx, args):

@@ -566,6 +566,18 @@ def _finish(result, state, eng):
     return result
 
 
+def _add_stats(a, b):
+    """Sum two obligations' stats: each integer counter and each dispatch
+    kind.  `a` is None before the first obligation; in a coverage-only
+    run, which keeps no stats, both are."""
+    if a is None:
+        return b
+    out = {k: a[k] + b[k] for k in a if k != "dispatch"}
+    out["dispatch"] = {k: a["dispatch"].get(k, 0) + b["dispatch"].get(k, 0)
+                       for k in a["dispatch"].keys() | b["dispatch"].keys()}
+    return out
+
+
 def _and_terms(a, b):
     return If(a, b, Quote(NIL))
 
@@ -587,8 +599,10 @@ def _case_label(assignment):
 def prove_gl_param_thm(spec, defs, cfg, opts=None):
     """Case-split proof: each case is proved as its own theorem with the
     case hypothesis conjoined, then a completeness obligation shows the
-    cases exhaust the hypothesis."""
+    cases exhaust the hypothesis.  The result's stats sum those of every
+    obligation run."""
     opts = opts or ProverOptions()
+    stats = None
     for assignment, bindings in spec.param_bindings:
         label = _case_label(assignment)
         sub_hyp = _and_terms(spec.hyp,
@@ -600,6 +614,7 @@ def prove_gl_param_thm(spec, defs, cfg, opts=None):
             counterexample_count=spec.counterexample_count, seed=spec.seed,
             coverage_only=spec.coverage_only)
         result = prove_gl_thm(case_spec, defs, cfg, opts)
+        stats = result.stats = _add_stats(stats, result.stats)
         if result.kind not in ("proved", "coverage-ok"):
             result.case = label
             return result
@@ -612,7 +627,7 @@ def prove_gl_param_thm(spec, defs, cfg, opts=None):
         counterexample_count=spec.counterexample_count, seed=spec.seed,
         coverage_only=spec.coverage_only)
     result = prove_gl_thm(comp_spec, defs, cfg, opts)
+    result.stats = _add_stats(stats, result.stats)
     if result.kind not in ("proved", "coverage-ok"):
         result.case = "completeness"
-        return result
     return result

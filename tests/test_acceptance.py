@@ -203,6 +203,10 @@ def test_criterion_09_parametrization_image():
 
 MODE_CORPUS = [
     ("fast_logcount_16.lisp", ["proved"]),
+    ("fast_logcount_32.lisp", ["proved"]),
+    ("fast_logcount_32_cov32.lisp", ["coverage-failed"]),
+    ("fast_logcount_param.lisp", ["proved"]),
+    ("serial_logcount_16.lisp", ["proved"]),
     ("fast_logcount_32_buggy.lisp", ["disproved"]),
     ("bit_identities.lisp", ["proved"] * 5),
     ("alu_mode.lisp", ["proved", "proved"]),

@@ -1,6 +1,8 @@
 import io
 import json
 
+import pytest
+
 from bitblast.aig import SWEEP_STATS
 from bitblast.cli import main, render_report_json, render_report_text, run_file
 
@@ -191,3 +193,17 @@ def test_json_stats_carry_sat_counters(corpus):
     rc, out, _ = run_cli([path, "--json", "--mode", "bdd"])
     thm = [e for e in json.loads(out)["events"] if e["kind"] == "theorem"][0]
     assert all(thm["stats"][k] == 0 for k in SWEEP_STATS)
+
+
+@pytest.mark.parametrize("name, max_conflicts", [
+    ("fast_logcount_16.lisp", 1000),
+    ("fast_logcount_32.lisp", 5000),
+])
+def test_aig_popcount_conflicts_stay_low(corpus, name, max_conflicts):
+    # logcount's adder tree shares partial sums with the SWAR circuit, so
+    # the sweep merges them; a one-bit-at-a-time chain takes about ten
+    # times the conflicts (1 367 at 16 bits, 36 453 at 32 bits)
+    report = run_file(str(corpus / name), mode="aig")
+    (thm,) = [e for e in report.events if e.kind == "theorem"]
+    assert thm.result["status"] == "proved"
+    assert thm.stats["sat_conflicts"] <= max_conflicts

@@ -14,6 +14,8 @@ from bitblast.symobj import (
     GIte,
     GNumber,
     GVar,
+    g_int,
+    shape_to_symobj,
     sym_eval,
 )
 from bitblast.values import NIL, T, values_equal
@@ -82,6 +84,19 @@ def test_mul_exhaustive_4x4(ctx, eng):
     for env in all_envs(8):
         assert sym_eval(m, env, eng) == \
             sym_eval(x, env, eng) * sym_eval(y, env, eng)
+
+
+def test_logcount_exhaustive_signed_widths(ctx, eng):
+    # every value of every width from 1 to 9 bits: odd leftover terms,
+    # negative inputs (which count zeros) and the width-1 case, which
+    # has no counted bits at all
+    for width in range(1, 10):
+        x = shape_to_symobj(g_int(0, 1, width), eng)
+        r = apply_counterpart(ctx, "logcount", [x])
+        for env in all_envs(width):
+            v = sym_eval(x, env, eng)
+            assert sym_eval(r, env, eng) == \
+                apply_primitive("logcount", [v]), (width, v)
 
 
 def test_equal_same_bits_canonical(eng):

@@ -1,5 +1,6 @@
 import pytest
 
+import bitblast.prover as prover
 from bitblast.engine import AigEngine, BddEngine
 from bitblast.errors import EvalError
 from bitblast.interp import InterpConfig
@@ -419,10 +420,25 @@ def _param_spec(defs, cases, **kw):
         **kw)
 
 
-def test_param_theorem_five_cases(defs):
+def test_param_theorem_five_cases(defs, monkeypatch):
+    run = []
+
+    def recording(*args, **kwargs):
+        r = prove_gl_thm(*args, **kwargs)
+        run.append(r.stats)
+        return r
+
+    monkeypatch.setattr(prover, "prove_gl_thm", recording)
     spec = _param_spec(defs, PARAM_CASES)
     r = prove_gl_param_thm(spec, defs, CFG, ProverOptions(mode="bdd"))
     assert r.kind == "proved"
+    # stats sum every obligation: the cases, then completeness
+    assert len(run) == len(PARAM_CASES) + 1
+    assert r.stats["steps"] > run[-1]["steps"]
+    for key in ("steps", "merges", "nodes"):
+        assert r.stats[key] == sum(s[key] for s in run), key
+    for kind, n in r.stats["dispatch"].items():
+        assert n == sum(s["dispatch"].get(kind, 0) for s in run), kind
 
 
 def test_param_theorem_dropped_case_fails_completeness(defs):
