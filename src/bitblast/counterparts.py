@@ -114,17 +114,21 @@ def _sub_bits(eng, xs, ys):
 
 
 def _mul_bits(eng, xs, ys):
+    """Shift-and-add product.  Row i adds (x AND y_i) << i, so it ripples
+    only through columns i and up; a constant-false y_i adds nothing."""
     w = len(xs) + len(ys)
     xs_w = sign_extend(xs, w)
-    acc = (eng.false,) * w
+    acc = [eng.false] * w
     for i, yb in enumerate(ys):
-        partial = (eng.false,) * i + tuple(eng.and_(b, yb) for b in xs_w[:w - i])
+        if yb == eng.false:
+            continue
+        partial = [eng.and_(b, yb) for b in xs_w[:w - i]]
         if i == len(ys) - 1:  # sign bit carries negative weight
-            neg = tuple(eng.not_(b) for b in partial)
-            acc = _ripple(eng, acc, neg, eng.true, w)
+            neg = [eng.not_(b) for b in partial]
+            acc[i:] = _ripple(eng, acc[i:], neg, eng.true, w - i)
         else:
-            acc = _ripple(eng, acc, partial, eng.false, w)
-    return acc
+            acc[i:] = _ripple(eng, acc[i:], partial, eng.false, w - i)
+    return tuple(acc)
 
 
 # -- operations ---------------------------------------------------------------

@@ -7,6 +7,7 @@ small prelude of ordinary definitions (`atom`, `unsigned-byte-p`,
 `evenp`, `member`, ...) is installed in every base environment.
 """
 
+import functools
 from fractions import Fraction
 
 from .errors import FileFormatError
@@ -358,11 +359,9 @@ _PRELUDE_SRC = """
     nil))
 """
 
-_PRELUDE_NAMES = None
 
-
-def base_env():
-    """A fresh DefEnv holding the prelude definitions."""
+@functools.cache
+def _prelude():
     env = DefEnv()
     for form in read_values(_PRELUDE_SRC):
         items, _ = list_elements(form)
@@ -371,8 +370,12 @@ def base_env():
     return env
 
 
-def prelude_names():
-    global _PRELUDE_NAMES
-    if _PRELUDE_NAMES is None:
-        _PRELUDE_NAMES = frozenset(base_env().names())
-    return _PRELUDE_NAMES
+def base_env():
+    """A fresh DefEnv holding the prelude definitions.
+
+    The prelude is parsed once per process; each call returns its own
+    copy, so `define` on one environment never reaches another.  Sharing
+    the parsed bodies is safe because terms are not mutated after
+    construction.
+    """
+    return _prelude().copy()

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bitblast.cli import run_file
 from bitblast.concrete import apply_primitive
 from bitblast.counterparts import SymbolicContext, apply_counterpart
 from bitblast.engine import AigEngine, BddEngine
@@ -84,6 +85,29 @@ def test_mul_exhaustive_4x4(ctx, eng):
     for env in all_envs(8):
         assert sym_eval(m, env, eng) == \
             sym_eval(x, env, eng) * sym_eval(y, env, eng)
+
+
+@pytest.mark.parametrize("const", [0, 1, 2, 16, 64, 3, 5, 0x55, 109,
+                                   -1, -2, -8, -3, -7, -86])
+def test_mul_by_constant_exhaustive_signed_widths(ctx, eng, const):
+    # as the right operand, the constant's false bits are partial-product
+    # rows the multiplier skips; as the left one they fold inside each row
+    for width in range(1, 7):
+        x = shape_to_symobj(g_int(0, 1, width), eng)
+        for args in ([x, Concrete(const)], [Concrete(const), x]):
+            m = apply_counterpart(ctx, "*", args)
+            for env in all_envs(width):
+                v = sym_eval(x, env, eng)
+                assert sym_eval(m, env, eng) == v * const, (width, v, args)
+
+
+def test_fast_logcount_64_bdd_nodes(corpus):
+    # the 64-bit proof is mostly its 64* product; skipping the zero rows
+    # of the constant multiplier took it from 62 739 nodes to 59 131
+    report = run_file(str(corpus / "fast_logcount_64.lisp"), mode="bdd")
+    (thm,) = [e for e in report.events if e.kind == "theorem"]
+    assert thm.result["status"] == "proved"
+    assert thm.stats["nodes"] <= 60_000
 
 
 def test_logcount_exhaustive_signed_widths(ctx, eng):

@@ -1,6 +1,9 @@
 import pytest
 
+from bitblast import lang
+from bitblast.cli import run_file
 from bitblast.errors import FileFormatError
+from bitblast.lang import Var, base_env
 from bitblast.prover import ParamTheoremSpec, TheoremSpec
 from bitblast.symobj import ShapeBool, ShapeConcrete, ShapeNum
 from bitblast.toplevel import (
@@ -151,3 +154,38 @@ def test_parse_file_logcount_corpus(corpus):
     assert len(theorems) == 1
     assert theorems[0].name == "fast-logcount-32-correct"
     assert directives == []
+
+
+# -- the prelude ----------------------------------------------------------------
+
+def test_base_env_copies_are_independent():
+    first, second = base_env(), base_env()
+    first.define("foo", ["x"], Var("x"))
+    assert "foo" in first
+    assert "foo" not in second and "foo" not in base_env()
+    defs, _, _ = parse_file("(defun bar (x) x)")
+    assert "bar" in defs and "bar" not in base_env()
+    assert all("atom" in env for env in (first, second, defs))
+
+
+@pytest.mark.parametrize("name", ["atom", "member", "unsigned-byte-p",
+                                  "evenp"])
+def test_user_file_cannot_redefine_prelude_names(name):
+    before = base_env().lookup(name)
+    with pytest.raises(FileFormatError):
+        parse_events("(defun %s (x) x)" % name)
+    assert base_env().lookup(name) == before
+
+
+def test_prelude_is_parsed_once_per_process(monkeypatch, corpus):
+    calls = []
+    real = lang.read_values
+    monkeypatch.setattr(lang, "read_values",
+                        lambda text: calls.append(text) or real(text))
+    lang._prelude.cache_clear()  # cold, as in a fresh process
+    for _ in range(2):
+        for mode in ("bdd", "aig"):
+            report = run_file(str(corpus / "alu_mode.lisp"), mode=mode)
+            assert report.exit_status == 0
+    assert len(base_env().names()) == 18
+    assert calls == [lang._PRELUDE_SRC]
