@@ -5,7 +5,8 @@ sign flip, and positive handles above 1 name variable or AND nodes in
 the store.  The only rewrites are the local ones: double negation,
 and with a constant, and of equal or complementary children.  AIGs are
 not canonical; `SatSweep` decides satisfiability, and with it
-equivalence, by simulation and SAT sweeping on an incremental solver.
+equivalence, by simulation and SAT sweeping on an incremental solver,
+and finds exact extreme witnesses on that solver.
 """
 
 import random
@@ -300,8 +301,9 @@ class SatSweep:
     splits the classes it did not fit.  The rebuilt root is then a
     constant, or one last solve under the root assumption decides it.
 
-    The solver keeps the Tseitin clauses of every node it was asked
-    about, and its learnt clauses, from one query to the next.
+    `witness` searches satisfying assignments on the same solver.  The
+    solver keeps the Tseitin clauses of every node it was asked about,
+    and its learnt clauses, from one query to the next.
     """
 
     def __init__(self, store):
@@ -356,12 +358,13 @@ class SatSweep:
                 solver.add_clause([2 * v, la ^ 1, lb ^ 1])
         return var[root]
 
-    def _solve(self, *handles):
-        """A model making every handle true, or None when there is none."""
+    def _solve(self, *handles, prefer=()):
+        """A model making every handle true, or None when there is none.
+        `prefer` is passed to Solver.solve."""
         solver = self.solver
         before = solver.conflicts
         kind, model = solver.solve([self._lit(h) for h in handles],
-                                   self._left)
+                                   self._left, prefer)
         if self._left is not None:
             self._left -= solver.conflicts - before
         if kind is BUDGET:
@@ -447,3 +450,36 @@ class SatSweep:
         if out == TRUE or out == FALSE:
             return out == TRUE
         return self._solve(out) is not None
+
+    def witness(self, root, policy, indices=(), seed=0, conflict_budget=None):
+        """An assignment making root true, or None when there is none.
+
+        It assigns root's input variables and every index in `indices`.
+        zeros gives the lexicographically least such assignment
+        (variables read in increasing index order), ones the greatest,
+        and random the lexicographic extreme towards seeded coin flips,
+        one per index in increasing order.  Indices outside root's cone
+        take the policy default, as in BddStore.witness.  One solve
+        under the root assumption with the inputs preferred in index
+        order (Solver.solve's `prefer`) finds it; all its conflicts
+        count against conflict_budget, SatBudgetExceeded once they pass
+        it.
+        """
+        if policy not in ("zeros", "ones", "random"):
+            raise ValueError("unknown witness policy %r" % (policy,))
+        nodes = self.store._nodes
+        cone = {nodes[n][1]: n for n in self.store._walk(root)
+                if nodes[n][0] == "var"}
+        self._lit(root)  # encode the cone, giving each input a variable
+        rng = random.Random(seed)
+        want = {i: rng.random() < 0.5 if policy == "random"
+                else policy == "ones"
+                for i in sorted(cone.keys() | set(indices))}
+        prefer = [2 * self._var[cone[i]] + (not b)
+                  for i, b in want.items() if i in cone]
+        self._left = conflict_budget
+        model = self._solve(root, prefer=prefer)
+        if model is None:
+            return None
+        return {i: model[self._var[cone[i]]] if i in cone else b
+                for i, b in want.items()}

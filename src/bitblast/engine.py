@@ -1,15 +1,15 @@
 """Uniform handle over the two Boolean-expression realizations.
 
 All expressions flowing through one proof belong to one handle.  The
-BDD side decides validity by node identity; the AIG side decides it by
-simulation and SAT sweeping on one incremental solver (aig.SatSweep),
-and searches witnesses with a fresh solver per policy.  Handles are
-single-threaded, like the stores they wrap.
+BDD side decides validity by node identity and reads witnesses off a
+path; the AIG side decides it by simulation and SAT sweeping on one
+incremental solver (aig.SatSweep), and searches witnesses on that same
+solver, one solve per policy.  Both sides give the same exact zeros and
+ones extremes.  Handles are single-threaded, like the stores they wrap.
 """
 
 from . import aig as _aig
 from . import bdd as _bdd
-from . import sat as _sat
 
 DEFAULT_SAT_CONFLICT_BUDGET = 2_000_000
 
@@ -129,12 +129,8 @@ class AigEngine:
         return self.sweep.satisfiable(x, self.sat_conflict_budget)
 
     def witness(self, x, policy, indices=(), seed=0):
-        if x == _aig.FALSE:
-            return None
-        cnf, out = self.store.to_cnf(x)
-        return _sat.sat_witness(cnf, out, policy, indices, cnf.var_map,
-                                conflict_budget=self.sat_conflict_budget,
-                                seed=seed)
+        return self.sweep.witness(x, policy, indices, seed,
+                                  self.sat_conflict_budget)
 
     def sat_stats(self):
         return self.sweep.stats()

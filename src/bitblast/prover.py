@@ -501,6 +501,7 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
         bad = eng.and_(nil_possibility(c, eng), hyp_p)
         stage = "decide"
         if eng.satisfiable(bad):
+            stage = "counterexamples"
             cexs = generate_counterexamples(
                 bad, pobjs, indices, spec.counterexample_count, seed, eng,
                 spec.hyp, spec.concl, defs)

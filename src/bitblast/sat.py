@@ -4,9 +4,12 @@ First-UIP clause learning with recursive minimization, two watched
 literals, VSIDS, Luby restarts, reduction of the learnt clauses by
 literal block distance, and phase saving whose initial phases come
 from the polarity policy (zeros: decide false first, ones: true first,
-random: seeded).  The policies are decision preferences only, not
-guaranteed extremal models.  Runs are deterministic for a fixed seed
-and budget.
+random: seeded).  The polarity policy is a decision preference only;
+an exact extreme model comes from `solve`'s `prefer` list, which is
+decided in order before any other decision, so the first model found
+is the lexicographic extreme in that order (aig.SatSweep.witness
+searches counterexamples this way).  Runs are deterministic for a
+fixed seed and budget.
 
 Literals are MiniSat codes: variable v (numbered from 1) has the
 positive literal 2v and the negative literal 2v + 1, so negation is
@@ -18,8 +21,6 @@ between calls, and learnt clauses carry over from call to call.
 
 import random
 from heapq import heapify, heappop, heappush
-
-from .errors import SatBudgetExceeded
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -346,7 +347,7 @@ class Solver:
         self.lim.append(len(self.trail))
         self._enqueue(2 * v if self.phase[v] else 2 * v + 1, None)
 
-    def solve(self, assumptions=(), conflict_budget=None):
+    def solve(self, assumptions=(), conflict_budget=None, prefer=()):
         """Decide the clauses under the assumed literal codes.
 
         Returns (SAT, model) with the model a list of bools indexed by
@@ -355,6 +356,16 @@ class Solver:
         this call.  The solver is back at level 0 afterwards and can be
         extended and asked again; UNSAT under assumptions says nothing
         about the clauses alone.
+
+        `prefer` is a list of literal codes.  After the assumptions and
+        before any activity-ordered decision, the first unassigned one
+        is decided, in list order and with exactly that polarity.  A
+        preferred literal is then false in the model only if the clauses
+        and assumptions force it false given the model's values of the
+        literals before it, so the model is the lexicographic extreme of
+        the assumptions' models in `prefer` order: learnt clauses follow
+        from the clauses alone, and every decision below a preferred
+        literal is an earlier preferred literal.
         """
         self.calls += 1
         if not self.ok:
@@ -366,6 +377,7 @@ class Solver:
         restarts = 0
         since_restart = 0
         limit = _RESTART_BASE * _luby(restarts)
+        pnext = 0  # preferred literals before this index are assigned
         while True:
             confl = self.propagate()
             if confl is not None:
@@ -380,6 +392,7 @@ class Solver:
                     return BUDGET, None
                 learnt, bt = self.analyze(confl)
                 self.backtrack(bt)
+                pnext = 0
                 if len(learnt) > 1:
                     # distinct levels at the conflict; backtracking leaves
                     # `level` entries in place
@@ -410,8 +423,15 @@ class Solver:
                 since_restart = 0
                 limit = _RESTART_BASE * _luby(restarts)
                 self.backtrack(0)
+                pnext = 0
                 if len(self.learnts) >= self.max_learnts:
                     self._reduce()
+                continue
+            while pnext < len(prefer) and vals[prefer[pnext]] is not None:
+                pnext += 1
+            if pnext < len(prefer):
+                lim.append(len(trail))
+                self._enqueue(prefer[pnext], None)
                 continue
             self._decide()
 
@@ -436,32 +456,3 @@ def solve_cnf(num_vars, clauses, assumptions=(), conflict_budget=None,
         return kind, {v: model[v] for v in range(1, num_vars + 1)}
     return kind, None
 
-
-def sat_witness(cnf, out_lit, policy, indices, var_map, conflict_budget=None,
-                seed=0):
-    """A satisfying environment over the AIG variable indices, or None.
-
-    Solves cnf plus the output literal, maps the model back through
-    var_map, and fills indices the CNF never mentions with the policy
-    default.
-    """
-    kind, model = solve_cnf(cnf.num_vars, cnf.clauses, assumptions=[out_lit],
-                            conflict_budget=conflict_budget, polarity=policy,
-                            seed=seed)
-    if kind is UNSAT:
-        return None
-    if kind is BUDGET:
-        raise SatBudgetExceeded("witness search ran out of conflicts")
-    rng = random.Random(seed ^ 0x5EED)
-    env = {}
-    for i in sorted(set(indices) | set(var_map)):
-        cv = var_map.get(i)
-        if cv is not None:
-            env[i] = model[cv]
-        elif policy == "zeros":
-            env[i] = False
-        elif policy == "ones":
-            env[i] = True
-        else:
-            env[i] = rng.random() < 0.5
-    return env

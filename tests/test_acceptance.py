@@ -215,20 +215,33 @@ MODE_CORPUS = [
     ("evenp_no_preferred.lisp", ["indeterminate"]),
     ("integer_half.lisp", ["indeterminate"]),
     ("always_equal.lisp", ["proved", "indeterminate"]),
+    ("word_mutants.lisp", ["disproved"] * 4),
 ]
 
 
+def _extremes(result):
+    """The zeros/ones counterexamples and indeterminate examples of a
+    theorem result; random draws may differ between the modes."""
+    return ([cx for cx in result.get("counterexamples", ())
+             if cx["policy"] != "random"], result.get("examples"))
+
+
 def test_criterion_10_mode_agreement():
-    with criterion(10, "regression corpus verdicts identical in BDD and "
-                       "AIG modes"):
+    with criterion(10, "regression corpus verdicts, zeros/ones "
+                       "counterexamples and indeterminate examples "
+                       "identical in BDD and AIG modes"):
         for name, expected in MODE_CORPUS:
             verdicts = {}
+            extremes = {}
             for mode in ("bdd", "aig"):
                 report = run_file(str(CORPUS / name), mode=mode,
                                   keep_going=True, seed=5)
-                verdicts[mode] = [e.result["status"] for e in report.events
-                                  if e.kind == "theorem"]
+                results = [e.result for e in report.events
+                           if e.kind == "theorem"]
+                verdicts[mode] = [r["status"] for r in results]
+                extremes[mode] = [_extremes(r) for r in results]
             assert verdicts["bdd"] == verdicts["aig"] == expected, name
+            assert extremes["bdd"] == extremes["aig"], name
 
 
 def test_criterion_11_sat_solver():

@@ -218,6 +218,50 @@ def test_sweep_agrees_with_exhaustive_evaluation():
     assert totals["sat_calls"] > 0 and totals["sat_conflicts"] > 0
 
 
+def _expected_witness(s, node, nvars, policy, indices):
+    """The zeros/ones witness read off the truth table: the first or last
+    satisfying row with variable 0 read first, restricted to node's cone
+    and indices, and the policy default outside the cone."""
+    tt = aig_tt(s, node, nvars)
+    rows = [e for e in all_envs(nvars)
+            if tt >> sum(b << j for j, b in e.items()) & 1]
+    if not rows:
+        return None
+    row = rows[0] if policy == "zeros" else rows[-1]
+    cone = s.support(node)
+    return {i: row[i] if i in cone else policy == "ones"
+            for i in sorted(cone | set(indices))}
+
+
+def test_sweep_witness_is_the_exact_extreme():
+    rng = random.Random(17)
+    swept = dict.fromkeys(SWEEP_STATS, 0)
+    for trial in range(60):
+        eng = AigEngine()  # eight queries share one sweep and its solver
+        s = eng.store
+        for k in range(8):
+            nvars = rng.randrange(1, 9)
+            f = build_formula(s, random_formula(rng, nvars, 5))
+            g = build_formula(s, random_formula(rng, nvars, 5))
+            cube = _cube(s, rng, nvars)
+            node = (f, s.and_(f, cube), s.or_(s.xor_(f, g), cube),
+                    s.and_(s.xor_(f, g), s.or_(f, cube)))[k % 4]
+            if trial % 2:
+                # the solver has answered other queries first
+                eng.satisfiable(s.xor_(f, g))
+                eng.valid(s.or_(g, cube))
+            indices = rng.sample(range(nvars + 3), rng.randrange(0, 4))
+            for policy in ("zeros", "ones"):
+                assert (eng.witness(node, policy, indices)
+                        == _expected_witness(s, node, nvars, policy,
+                                             indices)), (trial, k, policy)
+        if trial % 2:
+            for key, n in eng.sat_stats().items():
+                swept[key] += n
+    # the earlier queries merged nodes and left learnt clauses behind
+    assert swept["sweep_merges"] > 0 and swept["sat_conflicts"] > 0
+
+
 def _product(s, xs, ys):
     """Low len(xs) bits of xs * ys, shift-and-add, least bit first."""
     acc = [FALSE] * len(xs)

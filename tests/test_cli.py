@@ -195,6 +195,18 @@ def test_json_stats_carry_sat_counters(corpus):
     assert all(thm["stats"][k] == 0 for k in SWEEP_STATS)
 
 
+def test_json_stats_count_counterexample_solves(corpus):
+    # simulation alone disproves the buggy popcount; each counterexample
+    # policy then makes one solve on the proof's solver
+    rc, out, _ = run_cli([str(corpus / "fast_logcount_32_buggy.lisp"),
+                          "--json", "--mode", "aig"])
+    assert rc == 1
+    thm = [e for e in json.loads(out)["events"] if e["kind"] == "theorem"][0]
+    policies = [cx["policy"] for cx in thm["result"]["counterexamples"]]
+    assert policies == ["zeros", "ones", "random"]
+    assert thm["stats"]["sat_calls"] >= 3
+
+
 @pytest.mark.parametrize("name, max_conflicts", [
     ("fast_logcount_16.lisp", 1000),
     ("fast_logcount_32.lisp", 5000),

@@ -299,6 +299,22 @@ def test_sat_budget_limit_in_structural_mode(defs):
     assert r.stage.startswith("sat:")
 
 
+def test_witness_blowup_is_a_counterexample_resource_limit(defs,
+                                                          monkeypatch):
+    from bitblast.aig import SatSweep
+    from bitblast.errors import SatBudgetExceeded
+
+    def blowup(*args, **kwargs):
+        raise SatBudgetExceeded("SAT conflict budget exhausted")
+
+    monkeypatch.setattr(SatSweep, "witness", blowup)
+    spec = _spec("lt", "(unsigned-byte-p 4 x)", "(< x 10)",
+                 {"x": g_int(0, 1, 5)})
+    r = prove_gl_thm(spec, defs, CFG, ProverOptions(mode="aig"))
+    assert r.kind == "resource-limit"
+    assert r.stage == "sat:counterexamples"
+
+
 def test_distinct_index_validation(defs):
     spec = _spec("dup", "(unsigned-byte-p 2 x)", "(equal x y)",
                  {"x": g_int(0, 1, 3), "y": g_int(2, 1, 3)})

@@ -2,13 +2,11 @@ import random
 
 import pytest
 
-from bitblast.aig import AigStore
+from bitblast.aig import FALSE, TRUE, AigStore, SatSweep
 from bitblast.errors import SatBudgetExceeded
-from bitblast.sat import (
-    BUDGET, SAT, UNSAT, Solver, lit_code, sat_witness, solve_cnf,
-)
+from bitblast.sat import BUDGET, SAT, UNSAT, Solver, lit_code, solve_cnf
 
-from helpers import clauses_tt, random_cnf
+from helpers import clauses_tt, random_cnf, var_mask
 
 
 def php_clauses(pigeons, holes):
@@ -84,34 +82,113 @@ def test_conflict_budget():
 
 def test_witness_policies():
     store = AigStore()
+    sweep = SatSweep(store)
     b0, b1 = store.var(0), store.var(1)
     # unsat -> none
-    cnf, out = store.to_cnf(store.and_(b0, store.not_(b0)))
-    assert sat_witness(cnf, out, "zeros", [0], cnf.var_map) is None
+    assert sweep.witness(store.and_(b0, store.not_(b0)), "zeros", [0]) is None
     # forced single literal under zeros: everything else defaults false
-    cnf, out = store.to_cnf(b0)
-    env = sat_witness(cnf, out, "zeros", [0, 1, 2], cnf.var_map)
+    env = sweep.witness(b0, "zeros", [0, 1, 2])
     assert env == {0: True, 1: False, 2: False}
     # or(b0, b1) under ones prefers both true
-    cnf, out = store.to_cnf(store.or_(b0, b1))
-    env = sat_witness(cnf, out, "ones", [0, 1], cnf.var_map)
+    env = sweep.witness(store.or_(b0, b1), "ones", [0, 1])
     assert env[0] is True and env[1] is True
     # witnesses satisfy the node; random is seed-deterministic
     node = store.or_(store.and_(b0, b1), store.var(2))
-    cnf, out = store.to_cnf(node)
     for policy in ("zeros", "ones", "random"):
-        env = sat_witness(cnf, out, policy, [0, 1, 2], cnf.var_map, seed=4)
+        env = sweep.witness(node, policy, [0, 1, 2], seed=4)
         assert store.eval(node, env) is True
-        assert env == sat_witness(cnf, out, policy, [0, 1, 2], cnf.var_map,
-                                  seed=4)
+        assert env == sweep.witness(node, policy, [0, 1, 2], seed=4)
 
 
 def test_witness_budget_exhaustion():
-    nv, clauses = php_clauses(7, 6)
-    from bitblast.aig import Cnf
-    cnf = Cnf(num_vars=nv, clauses=clauses, var_map={})
+    # pigeonhole 7/6 as an AIG: every pigeon in a hole, no hole shared
+    store = AigStore()
+    p = [[store.var(i * 6 + j) for j in range(6)] for i in range(7)]
+    root = TRUE
+    for row in p:
+        some = FALSE
+        for x in row:
+            some = store.or_(some, x)
+        root = store.and_(root, some)
+    for j in range(6):
+        for i1 in range(7):
+            for i2 in range(i1 + 1, 7):
+                root = store.and_(root,
+                                  store.not_(store.and_(p[i1][j], p[i2][j])))
     with pytest.raises(SatBudgetExceeded):
-        sat_witness(cnf, 1, "zeros", [], {}, conflict_budget=5)
+        SatSweep(store).witness(root, "zeros", [], conflict_budget=5)
+
+
+def _extreme_models(tt, nvars, prefer):
+    """The models in truth table tt that take, on every preferred
+    variable, the value of tt's lexicographic extreme in prefer order."""
+    full = (1 << (1 << nvars)) - 1
+    for code in prefer:
+        mask = var_mask((code >> 1) - 1, nvars)
+        agree = tt & (full ^ mask if code & 1 else mask)
+        if agree:
+            tt = agree
+    return tt
+
+
+def test_prefer_gives_the_lexicographic_extreme_model():
+    rng = random.Random(91)
+    for trial in range(300):
+        nv, clauses = random_cnf(rng, max_clauses=24)
+        solver = Solver(seed=trial)
+        for _ in range(nv):
+            solver.new_var()
+        for clause in clauses:
+            solver.add_clause([lit_code(l) for l in clause])
+        for _ in range(4):  # learnt clauses carry over between calls
+            assumptions = [rng.choice((1, -1)) * rng.randrange(1, nv + 1)
+                           for _ in range(rng.randrange(0, 3))]
+            prefer = [2 * v + rng.randrange(2)
+                      for v in rng.sample(range(1, nv + 1),
+                                          rng.randrange(0, nv + 1))]
+            kind, model = solver.solve([lit_code(a) for a in assumptions],
+                                       prefer=prefer)
+            tt = clauses_tt(clauses + [[a] for a in assumptions], nv)
+            assert (kind is SAT) == (tt != 0), (trial, assumptions)
+            if kind is SAT:
+                k = sum(1 << (v - 1) for v in range(1, nv + 1) if model[v])
+                assert _extreme_models(tt, nv, prefer) >> k & 1, \
+                    (trial, clauses, assumptions, prefer)
+
+
+def test_prefer_extreme_survives_restarts():
+    # random 3-SAT at 60 variables: some calls pass the first restart
+    # (64 conflicts).  A preferred literal the model does not take must
+    # be refuted by the clauses under the model's earlier preferred
+    # values, which fresh solves under assumptions check.
+    rng = random.Random(3)
+    longest = 0
+    for trial in range(8):
+        nv = 60
+        clauses = [[rng.choice((1, -1)) * v
+                    for v in rng.sample(range(1, nv + 1), 3)]
+                   for _ in range(246)]
+        solver = Solver()
+        for _ in range(nv):
+            solver.new_var()
+        for clause in clauses:
+            solver.add_clause([lit_code(l) for l in clause])
+        order = rng.sample(range(1, nv + 1), nv)
+        prefer = [2 * v + rng.randrange(2) for v in order]
+        kind, model = solver.solve(prefer=prefer)
+        longest = max(longest, solver.conflicts)
+        assert kind is solve_cnf(nv, clauses)[0], trial
+        if kind is not SAT:
+            continue
+        prefix = []
+        for code in prefer:
+            v, want = code >> 1, not code & 1
+            if model[v] != want:
+                lit = v if want else -v
+                assert solve_cnf(nv, clauses, prefix + [lit])[0] is UNSAT, \
+                    (trial, v)
+            prefix.append(v if model[v] else -v)
+    assert longest > 64
 
 
 def test_literal_codes():
