@@ -6,10 +6,12 @@ the store.  The only rewrites are the local ones: double negation,
 and with a constant, and of equal or complementary children.  AIGs are
 not canonical; `SatSweep` decides satisfiability, and with it
 equivalence, by simulation and SAT sweeping on an incremental solver,
-and finds exact extreme witnesses on that solver.
+and finds exact extreme witnesses on that solver.  An AigStore is the
+proof engine of `aig` mode and owns the SatSweep of its queries.
 """
 
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -24,6 +26,7 @@ TRUE = 1
 FALSE = -1
 
 DEFAULT_NODE_BUDGET = 50_000_000
+DEFAULT_SAT_CONFLICT_BUDGET = 2_000_000
 
 SIM_BITS = 256       # random input patterns simulated per sweep
 SIM_SEED = 0x5EE9    # fixed, so every sweep of a query is reproducible
@@ -34,13 +37,35 @@ SWEEP_STATS = ("sat_calls", "sat_conflicts", "sweep_candidates",
 
 
 class AigStore:
-    """One AIG universe; single-threaded, never share handles across stores."""
+    """One AIG universe; single-threaded, never share handles across stores.
 
-    def __init__(self, node_budget=DEFAULT_NODE_BUDGET):
+    The store is the engine of `aig` mode (see engine.py); its own
+    SatSweep decides the queries, each within `sat_conflict_budget`
+    conflicts.  Internal calls never use the public operation names, so
+    a wrapper patched over one on an instance sees only the calls from
+    outside.
+    """
+
+    mode = "aig"
+    true = TRUE
+    false = FALSE
+
+    def __init__(self, node_budget=DEFAULT_NODE_BUDGET,
+                 sat_conflict_budget=DEFAULT_SAT_CONFLICT_BUDGET):
         self._nodes = [None, ("const",)]  # index 0 unused; 1 is TRUE
         self._var_ids = {}
         self._and_unique = {}
         self.node_budget = node_budget
+        self.sat_conflict_budget = sat_conflict_budget
+        # a proxy, so that store and sweep form no reference cycle and a
+        # finished proof's store is freed at once
+        self._sweep = SatSweep(weakref.proxy(self))
+
+    @property
+    def store(self):
+        # perfbench/hooks.py wraps methods through `eng.store`; this goes
+        # when the hooks read counters instead (ROADMAP item 6)
+        return self
 
     @property
     def num_nodes(self):
@@ -68,7 +93,7 @@ class AigStore:
     def not_(self, x):
         return -x
 
-    def and_(self, a, b):
+    def _and(self, a, b):
         if a == FALSE or b == FALSE:
             return FALSE
         if a == TRUE:
@@ -88,17 +113,40 @@ class AigStore:
             self._and_unique[key] = node
         return node
 
-    def or_(self, a, b):
-        return -self.and_(-a, -b)
+    and_ = _and
 
-    def xor_(self, a, b):
-        return self.or_(self.and_(a, -b), self.and_(-a, b))
+    def or_(self, a, b):
+        return -self._and(-a, -b)
+
+    def _xor(self, a, b):
+        return -self._and(-self._and(a, -b), -self._and(-a, b))
+
+    xor_ = _xor
 
     def iff_(self, a, b):
-        return -self.xor_(a, b)
+        return -self._xor(a, b)
 
     def ite(self, c, t, e):
-        return self.or_(self.and_(c, t), self.and_(-c, e))
+        return -self._and(-self._and(c, t), -self._and(-c, e))
+
+    def is_true(self, x):
+        return x == TRUE
+
+    def is_false(self, x):
+        return x == FALSE
+
+    def valid(self, x):
+        return not self._sweep.satisfiable(-x, self.sat_conflict_budget)
+
+    def satisfiable(self, x):
+        return self._sweep.satisfiable(x, self.sat_conflict_budget)
+
+    def witness(self, x, policy, indices=(), seed=0):
+        return self._sweep.witness(x, policy, indices, seed,
+                                   self.sat_conflict_budget)
+
+    def sat_stats(self):
+        return self._sweep.stats()
 
     def _walk(self, root):
         """Positive node ids reachable from root, children first."""
@@ -164,7 +212,7 @@ class AigStore:
                 _, a, b = desc
                 na = memo[abs(a)] * (-1 if a < 0 else 1)
                 nb = memo[abs(b)] * (-1 if b < 0 else 1)
-                memo[n] = self.and_(na, nb)
+                memo[n] = self._and(na, nb)
         out = memo[abs(x)]
         return -out if x < 0 else out
 
@@ -385,6 +433,7 @@ class SatSweep:
             return root == TRUE
         store = self.store
         nodes = store._nodes
+        and_ = store._and
         order = store._walk(root)
         rng = random.Random(SIM_SEED)
         width = SIM_BITS
@@ -403,8 +452,8 @@ class SatSweep:
                 h = n
             else:
                 _, a, b = desc
-                h = store.and_(new[a] if a > 0 else -new[-a],
-                               new[b] if b > 0 else -new[-b])
+                h = and_(new[a] if a > 0 else -new[-a],
+                         new[b] if b > 0 else -new[-b])
             new[n] = h
             if h == TRUE or h == FALSE:
                 continue

@@ -4,10 +4,14 @@ Nodes are small integer handles into per-store arrays; 0 and 1 are the
 terminals.  Structural equality is handle equality, so semantic
 equivalence of two functions in the same store is `a == b`.  Variable
 indices double as the order: smaller indices are closer to the root.
+A BddStore is the proof engine of `bdd` mode.  Its operations recurse
+once per variable level, so a BDD deeper than Python's recursion limit
+raises RecursionError, which the prover reports as a resource limit.
 """
 
 import random
 
+from .aig import SWEEP_STATS
 from .errors import (
     MissingAssignment,
     NodeBudgetExceeded,
@@ -20,25 +24,40 @@ _TERMINAL_VAR = 1 << 60
 
 DEFAULT_NODE_BUDGET = 50_000_000
 
+_AND, _OR, _XOR = 0, 1, 2  # operations of the apply core
+
 
 class BddStore:
     """One BDD universe: unique table, operation caches, node budget.
 
+    The store is the engine of `bdd` mode (see engine.py).
+    and/or/xor/not/iff share one apply core; `ite` keeps its own body,
+    since building it from and/or/not would make intermediate nodes.
+    Internal calls never use the public operation names, so a wrapper
+    patched over one on an instance sees only the calls from outside.
+
     A store is single-threaded; nodes from different stores must never
     be mixed.
     """
+
+    mode = "bdd"
+    true = TRUE
+    false = FALSE
 
     def __init__(self, node_budget=DEFAULT_NODE_BUDGET):
         self._var = [_TERMINAL_VAR, _TERMINAL_VAR]
         self._hi = [0, 1]
         self._lo = [0, 1]
         self._unique = {}
-        self._not_cache = {}
-        self._and_cache = {}
-        self._or_cache = {}
-        self._xor_cache = {}
+        self._caches = ({}, {}, {})  # per apply-core operation
         self._ite_cache = {}
         self.node_budget = node_budget
+
+    @property
+    def store(self):
+        # perfbench/hooks.py wraps methods through `eng.store`; this goes
+        # when the hooks read counters instead (ROADMAP item 6)
+        return self
 
     @property
     def num_nodes(self):
@@ -59,100 +78,57 @@ class BddStore:
             self._unique[key] = node
         return node
 
-    def var(self, index):
+    def _var_node(self, index):
         if index < 0 or index >= _TERMINAL_VAR:
             raise ValueError("bad variable index %r" % (index,))
         return self._mk(index, TRUE, FALSE)
 
+    var = _var_node
+
     def const(self, flag):
         return TRUE if flag else FALSE
 
-    def not_(self, f):
-        if f == FALSE:
-            return TRUE
-        if f == TRUE:
-            return FALSE
-        r = self._not_cache.get(f)
+    def _apply(self, op, f, g):
+        """op(f, g) for op one of _AND, _OR, _XOR.  Xor with TRUE is
+        negation: it is the one terminal case that recurses."""
+        if f == g:
+            return FALSE if op == _XOR else f
+        if f > g:
+            f, g = g, f
+        if f <= TRUE:  # terminals are the two smallest handles
+            if f == FALSE:
+                return FALSE if op == _AND else g
+            if op != _XOR:
+                return g if op == _AND else TRUE
+        key = (f, g)
+        cache = self._caches[op]
+        r = cache.get(key)
         if r is None:
-            r = self._mk(self._var[f], self.not_(self._hi[f]), self.not_(self._lo[f]))
-            self._not_cache[f] = r
+            var, hi, lo = self._var, self._hi, self._lo
+            vf, vg = var[f], var[g]
+            v = vf if vf < vg else vg
+            f1, f0 = (hi[f], lo[f]) if vf == v else (f, f)
+            g1, g0 = (hi[g], lo[g]) if vg == v else (g, g)
+            r = self._mk(v, self._apply(op, f1, g1), self._apply(op, f0, g0))
+            cache[key] = r
         return r
 
     def and_(self, f, g):
-        if f == g:
-            return f
-        if f == FALSE or g == FALSE:
-            return FALSE
-        if f == TRUE:
-            return g
-        if g == TRUE:
-            return f
-        if f > g:
-            f, g = g, f
-        key = (f, g)
-        r = self._and_cache.get(key)
-        if r is None:
-            var, hi, lo = self._var, self._hi, self._lo
-            vf, vg = var[f], var[g]
-            v = vf if vf < vg else vg
-            f1, f0 = (hi[f], lo[f]) if vf == v else (f, f)
-            g1, g0 = (hi[g], lo[g]) if vg == v else (g, g)
-            r = self._mk(v, self.and_(f1, g1), self.and_(f0, g0))
-            self._and_cache[key] = r
-        return r
+        return self._apply(_AND, f, g)
 
     def or_(self, f, g):
-        if f == g:
-            return f
-        if f == TRUE or g == TRUE:
-            return TRUE
-        if f == FALSE:
-            return g
-        if g == FALSE:
-            return f
-        if f > g:
-            f, g = g, f
-        key = (f, g)
-        r = self._or_cache.get(key)
-        if r is None:
-            var, hi, lo = self._var, self._hi, self._lo
-            vf, vg = var[f], var[g]
-            v = vf if vf < vg else vg
-            f1, f0 = (hi[f], lo[f]) if vf == v else (f, f)
-            g1, g0 = (hi[g], lo[g]) if vg == v else (g, g)
-            r = self._mk(v, self.or_(f1, g1), self.or_(f0, g0))
-            self._or_cache[key] = r
-        return r
+        return self._apply(_OR, f, g)
 
     def xor_(self, f, g):
-        if f == g:
-            return FALSE
-        if f == FALSE:
-            return g
-        if g == FALSE:
-            return f
-        if f == TRUE:
-            return self.not_(g)
-        if g == TRUE:
-            return self.not_(f)
-        if f > g:
-            f, g = g, f
-        key = (f, g)
-        r = self._xor_cache.get(key)
-        if r is None:
-            var, hi, lo = self._var, self._hi, self._lo
-            vf, vg = var[f], var[g]
-            v = vf if vf < vg else vg
-            f1, f0 = (hi[f], lo[f]) if vf == v else (f, f)
-            g1, g0 = (hi[g], lo[g]) if vg == v else (g, g)
-            r = self._mk(v, self.xor_(f1, g1), self.xor_(f0, g0))
-            self._xor_cache[key] = r
-        return r
+        return self._apply(_XOR, f, g)
+
+    def not_(self, f):
+        return self._apply(_XOR, TRUE, f)
 
     def iff_(self, f, g):
-        return self.not_(self.xor_(f, g))
+        return self._apply(_XOR, TRUE, self._apply(_XOR, f, g))
 
-    def ite(self, f, g, h):
+    def _ite(self, f, g, h):
         if f == TRUE:
             return g
         if f == FALSE:
@@ -162,15 +138,15 @@ class BddStore:
         if g == TRUE and h == FALSE:
             return f
         if g == FALSE and h == TRUE:
-            return self.not_(f)
+            return self._apply(_XOR, TRUE, f)
         if g == TRUE:
-            return self.or_(f, h)
+            return self._apply(_OR, f, h)
         if g == FALSE:
-            return self.and_(self.not_(f), h)
+            return self._apply(_AND, self._apply(_XOR, TRUE, f), h)
         if h == FALSE:
-            return self.and_(f, g)
+            return self._apply(_AND, f, g)
         if h == TRUE:
-            return self.or_(self.not_(f), g)
+            return self._apply(_OR, self._apply(_XOR, TRUE, f), g)
         key = (f, g, h)
         r = self._ite_cache.get(key)
         if r is None:
@@ -179,9 +155,26 @@ class BddStore:
             f1, f0 = (hi[f], lo[f]) if var[f] == v else (f, f)
             g1, g0 = (hi[g], lo[g]) if var[g] == v else (g, g)
             h1, h0 = (hi[h], lo[h]) if var[h] == v else (h, h)
-            r = self._mk(v, self.ite(f1, g1, h1), self.ite(f0, g0, h0))
+            r = self._mk(v, self._ite(f1, g1, h1), self._ite(f0, g0, h0))
             self._ite_cache[key] = r
         return r
+
+    ite = _ite
+
+    def is_true(self, f):
+        return f == TRUE
+
+    def is_false(self, f):
+        return f == FALSE
+
+    # canonicity decides both queries by handle identity
+    valid = is_true
+
+    def satisfiable(self, f):
+        return f != FALSE
+
+    def sat_stats(self):
+        return dict.fromkeys(SWEEP_STATS, 0)
 
     def eval(self, f, env):
         """Evaluate under a map var-index -> bool; env must cover the
@@ -268,7 +261,7 @@ class BddStore:
                 except KeyError:
                     raise MissingAssignment(
                         "no substitution entry for variable %d" % v) from None
-                r = self.ite(s, rec(self._hi[n]), rec(self._lo[n]))
+                r = self._ite(s, rec(self._hi[n]), rec(self._lo[n]))
                 memo[n] = r
             return r
 
@@ -301,7 +294,7 @@ class BddStore:
                 return hit
             i = idxs[k]
             if n == TRUE:
-                res = {j: self.var(j) for j in idxs[k:]}
+                res = {j: self._var_node(j) for j in idxs[k:]}
             else:
                 if self._var[n] == i:
                     c1, c0 = self._hi[n], self._lo[n]
@@ -316,10 +309,10 @@ class BddStore:
                 else:
                     s1 = rec(c1, k + 1)
                     s0 = rec(c0, k + 1)
-                    vi = self.var(i)
+                    vi = self._var_node(i)
                     res = {i: vi}
                     for j in idxs[k + 1:]:
-                        res[j] = self.ite(vi, s1[j], s0[j])
+                        res[j] = self._ite(vi, s1[j], s0[j])
             memo[key] = res
             return res
 

@@ -12,8 +12,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .aig import parse_dimacs
-from .engine import DEFAULT_SAT_CONFLICT_BUDGET
+from .aig import DEFAULT_SAT_CONFLICT_BUDGET, parse_dimacs
 from .errors import EvalError, FileFormatError, ReadError
 from .interp import InterpConfig, allow_concrete_exec, register_preferred_def
 from .lang import base_env
@@ -173,13 +172,6 @@ def _run_directive(ev, defs, cfg):
 
 # -- rendering ----------------------------------------------------------------
 
-def _fmt_value(v):
-    text = print_value(v)
-    if is_integer(v):
-        return "%s (%s)" % (text, ("-#x%x" % -v) if v < 0 else "#x%x" % v)
-    return text
-
-
 def render_report_text(report):
     lines = []
     for ev in report.events:
@@ -280,11 +272,10 @@ def build_arg_parser():
     return p
 
 
-def _solve_dimacs(path, seed, budget, out):
+def _solve_dimacs(path, budget, out):
     with open(path, "r", encoding="utf-8") as handle:
         num_vars, clauses = parse_dimacs(handle.read())
-    kind, model = solve_cnf(num_vars, clauses, conflict_budget=budget,
-                            seed=seed)
+    kind, model = solve_cnf(num_vars, clauses, conflict_budget=budget)
     if kind is SAT:
         print("s SATISFIABLE", file=out)
         lits = [v if model[v] else -v for v in sorted(model)]
@@ -301,8 +292,7 @@ def main(argv=None, out=sys.stdout, err=sys.stderr):
     sys.setrecursionlimit(100_000)
     args = build_arg_parser().parse_args(argv)
     if args.solve_dimacs:
-        return _solve_dimacs(args.solve_dimacs, args.seed, args.sat_conflicts,
-                             out)
+        return _solve_dimacs(args.solve_dimacs, args.sat_conflicts, out)
     if not args.file:
         print("error: a theorem file is required", file=err)
         return 3

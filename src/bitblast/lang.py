@@ -236,35 +236,39 @@ def _free_vars(term, bound, out):
             _free_vars(a, bound, out)
 
 
-def substitute_constants(term, mapping):
-    """Replace free occurrences of the mapped variables with quoted values."""
+def substitute(term, mapping):
+    """Replace free occurrences of the mapped variables with the mapped
+    terms.  A let binding shadows its name in the body and, for `let*`,
+    in the bindings after it.  Variables free in the replacement terms
+    are not renamed away from the let's bound names."""
     if isinstance(term, Quote):
         return term
     if isinstance(term, Var):
-        if term.name in mapping:
-            return Quote(mapping[term.name])
-        return term
+        return mapping.get(term.name, term)
     if isinstance(term, If):
-        return If(substitute_constants(term.test, mapping),
-                  substitute_constants(term.then, mapping),
-                  substitute_constants(term.els, mapping))
+        return If(substitute(term.test, mapping),
+                  substitute(term.then, mapping),
+                  substitute(term.els, mapping))
     if isinstance(term, Let):
+        live = dict(mapping)
         if term.sequential:
-            live = dict(mapping)
             bindings = []
             for name, sub in term.bindings:
-                bindings.append((name, substitute_constants(sub, live)))
+                bindings.append((name, substitute(sub, live)))
                 live.pop(name, None)
-            body = substitute_constants(term.body, live)
         else:
-            bindings = [(n, substitute_constants(s, mapping)) for n, s in term.bindings]
-            live = {k: v for k, v in mapping.items()
-                    if k not in {n for n, _ in term.bindings}}
-            body = substitute_constants(term.body, live)
-        return Let(bindings, body, term.sequential)
+            bindings = [(n, substitute(s, mapping)) for n, s in term.bindings]
+            for n, _ in term.bindings:
+                live.pop(n, None)
+        return Let(bindings, substitute(term.body, live), term.sequential)
     if isinstance(term, Call):
-        return Call(term.fn, [substitute_constants(a, mapping) for a in term.args])
+        return Call(term.fn, [substitute(a, mapping) for a in term.args])
     raise TypeError("not a term: %r" % (term,))
+
+
+def substitute_constants(term, mapping):
+    """Replace free occurrences of the mapped variables with quoted values."""
+    return substitute(term, {k: Quote(v) for k, v in mapping.items()})
 
 
 # --- definition environment -------------------------------------------------

@@ -24,7 +24,15 @@ from .errors import (
 )
 from .aig import forced_constants
 from .interp import Interp, InterpState
-from .lang import Call, If, Quote, Var, free_vars, substitute_constants
+from .lang import (
+    Call,
+    If,
+    Quote,
+    Var,
+    free_vars,
+    substitute,
+    substitute_constants,
+)
 from .sat import solve_cnf
 from .symobj import (
     map_symobj_exprs,
@@ -165,14 +173,14 @@ def parametrize_bindings(hyp_expr, objs, eng, indices,
     """
     idxs = sorted(set(indices) | set(eng.support(hyp_expr)))
     if eng.mode == "bdd":
-        sigma = eng.store.parametrize(hyp_expr, idxs)
-        sub = lambda e: eng.store.compose(e, sigma)
+        sigma = eng.parametrize(hyp_expr, idxs)
+        sub = lambda e: eng.compose(e, sigma)
     else:
         if sat_conflict_budget is None:
             sat_conflict_budget = eng.sat_conflict_budget
-        forced = forced_constants(eng.store, hyp_expr, idxs, solve_cnf,
+        forced = forced_constants(eng, hyp_expr, idxs, solve_cnf,
                                   conflict_budget=sat_conflict_budget)
-        sub = lambda e: eng.store.substitute(e, forced)
+        sub = lambda e: eng.substitute(e, forced)
     new_objs = {v: map_symobj_exprs(o, sub) for v, o in objs.items()}
     return new_objs, sub(hyp_expr)
 
@@ -200,38 +208,9 @@ def _conjuncts(term, defs, do_not_expand, depth=_EXPAND_DEPTH):
         defn = defs.lookup(term.fn)
         if defn is not None and len(defn[0]) == len(term.args):
             formals, body = defn
-            expanded = _substitute_terms(body, dict(zip(formals, term.args)))
+            expanded = substitute(body, dict(zip(formals, term.args)))
             return _conjuncts(expanded, defs, do_not_expand, depth - 1)
     return [term]
-
-
-def _substitute_terms(term, mapping):
-    from .lang import Let
-    if isinstance(term, Quote):
-        return term
-    if isinstance(term, Var):
-        return mapping.get(term.name, term)
-    if isinstance(term, If):
-        return If(_substitute_terms(term.test, mapping),
-                  _substitute_terms(term.then, mapping),
-                  _substitute_terms(term.els, mapping))
-    if isinstance(term, Let):
-        live = dict(mapping)
-        bindings = []
-        if term.sequential:
-            for name, sub in term.bindings:
-                bindings.append((name, _substitute_terms(sub, live)))
-                live.pop(name, None)
-        else:
-            bindings = [(n, _substitute_terms(s, mapping))
-                        for n, s in term.bindings]
-            for n, _ in term.bindings:
-                live.pop(n, None)
-        return Let(bindings, _substitute_terms(term.body, live),
-                   term.sequential)
-    if isinstance(term, Call):
-        return Call(term.fn, [_substitute_terms(a, mapping) for a in term.args])
-    return term
 
 
 def _ground_value(term, defs):
@@ -537,6 +516,9 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
         return _finish(ResourceLimit(stage="nodes:" + stage), state, eng)
     except SatBudgetExceeded:
         return _finish(ResourceLimit(stage="sat:" + stage), state, eng)
+    except RecursionError:
+        # the BDD operations and the interpreter recurse once per level
+        return _finish(ResourceLimit(stage="recursion:" + stage), state, eng)
     except UnsatConstraint:
         return _finish(Proved(warnings=(
             "vacuous hypothesis: no input satisfies it",)), state, eng)

@@ -125,10 +125,6 @@ def boolify(flag):
     return T if flag else NIL
 
 
-def is_nil(v):
-    return v is NIL
-
-
 def cons_list(*items, tail=NIL):
     """Build a (possibly improper) list value."""
     out = tail

@@ -169,6 +169,15 @@ def test_solve_dimacs_flag(tmp_path):
     assert "s UNSATISFIABLE" in out
 
 
+def test_solve_dimacs_ignores_the_seed(tmp_path):
+    # the solver runs with its default polarity, so --seed picks nothing
+    f = tmp_path / "sat.cnf"
+    f.write_text("p cnf 3 3\n1 2 3 0\n-1 -2 0\n-3 2 0\n")
+    outs = {run_cli(["--solve-dimacs", str(f)] + seed)[1]
+            for seed in ([], ["--seed", "9"], ["--seed", "123"])}
+    assert outs == {"s SATISFIABLE\nv -1 2 3 0\n"}
+
+
 def test_run_file_api(corpus):
     report = run_file(str(corpus / "alu_mode.lisp"))
     assert report.exit_status == 0

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import bitblast.prover as prover
@@ -313,6 +315,35 @@ def test_witness_blowup_is_a_counterexample_resource_limit(defs,
     r = prove_gl_thm(spec, defs, CFG, ProverOptions(mode="aig"))
     assert r.kind == "resource-limit"
     assert r.stage == "sat:counterexamples"
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_deep_bdd_is_a_recursion_resource_limit(defs):
+    # the interleaved 100-bit comparison has about 200 BDD levels, and
+    # parametrize recurses once per level: with 200 frames to spare the
+    # recursion limit stops it, as a deeper theorem would at the
+    # default limit
+    spec = _spec("lt", "(and (unsigned-byte-p 100 x) "
+                       "(unsigned-byte-p 100 y) (< x y))",
+                 "(not (< y x))",
+                 {"x": g_int(0, 2, 101), "y": g_int(1, 2, 101)})
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 200)
+    try:
+        r = prove_gl_thm(spec, defs, CFG, ProverOptions(mode="bdd"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert r.kind == "resource-limit"
+    assert r.stage == "recursion:parametrize"
+    assert r.stats["nodes"] > 200
+    assert prove_gl_thm(spec, defs, CFG,
+                        ProverOptions(mode="bdd")).kind == "proved"
 
 
 def test_distinct_index_validation(defs):
