@@ -86,7 +86,11 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
     (traces, escape breaks) go to the error stream."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
-    events = parse_events(text)
+    try:
+        events = parse_events(text)
+    except RecursionError:
+        # the reader and the term parser recurse once or twice per level
+        raise FileFormatError("forms nested too deeply to read") from None
     report = RunReport(path=path)
     defs = base_env()
     cfg = InterpConfig(trace=trace, break_on_g_apply=break_on_g_apply)
@@ -101,12 +105,10 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
             entry = EventReport(name=ev.name, kind="defun",
                                 result={"status": "defined"})
         elif isinstance(ev, DirectiveEvent):
-            entry = _run_directive(ev, defs, cfg)
+            entry, cfg, current_mode = _run_directive(ev, defs, cfg,
+                                                      current_mode)
             if entry.result["status"] == "error":
                 saw.add("error")
-            else:
-                cfg = entry.result.pop("_cfg", cfg)
-                current_mode = entry.result.pop("_mode", current_mode)
         else:
             spec = ev.spec
             opts = ProverOptions(
@@ -144,30 +146,25 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
     return report
 
 
-def _run_directive(ev, defs, cfg):
+def _run_directive(ev, defs, cfg, mode):
+    """Run one directive: (its report, the config and mode after it)."""
+    result = {"status": "ok"}
     if ev.kind == "preferred-def":
         fn, replacement = ev.payload
+        name = "set-preferred-def %s" % fn
         try:
-            new_cfg = register_preferred_def(cfg, fn, replacement, defs)
+            cfg = register_preferred_def(cfg, fn, replacement, defs)
         except EvalError as e:
-            return EventReport(name="set-preferred-def %s" % fn,
-                               kind="directive",
-                               result={"status": "error", "message": str(e)})
-        return EventReport(name="set-preferred-def %s" % fn, kind="directive",
-                           result={"status": "ok", "_cfg": new_cfg})
-    if ev.kind == "concrete-exec":
-        new_cfg = allow_concrete_exec(cfg, ev.payload)
-        return EventReport(name="allow-concrete-exec %s"
-                           % " ".join(sorted(ev.payload)),
-                           kind="directive",
-                           result={"status": "ok", "_cfg": new_cfg})
-    if ev.kind == "bdd-mode":
-        return EventReport(name="gl-bdd-mode", kind="directive",
-                           result={"status": "ok", "_mode": "bdd"})
-    if ev.kind == "aig-mode":
-        return EventReport(name="gl-aig-mode", kind="directive",
-                           result={"status": "ok", "_mode": "aig"})
-    raise ValueError("unknown directive %r" % (ev.kind,))
+            result = {"status": "error", "message": str(e)}
+    elif ev.kind == "concrete-exec":
+        name = "allow-concrete-exec %s" % " ".join(sorted(ev.payload))
+        cfg = allow_concrete_exec(cfg, ev.payload)
+    elif ev.kind in ("bdd-mode", "aig-mode"):
+        name = "gl-" + ev.kind
+        mode = ev.kind[:3]
+    else:
+        raise ValueError("unknown directive %r" % (ev.kind,))
+    return EventReport(name=name, kind="directive", result=result), cfg, mode
 
 
 # -- rendering ----------------------------------------------------------------

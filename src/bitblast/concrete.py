@@ -149,7 +149,7 @@ PRIMITIVES = {
 }
 
 # escape tags produced by the symbolic counterparts resolve to these
-PRIMITIVE_ALIASES = {"binary-+": "+", "binary-*": "*", "unary--": "-"}
+PRIMITIVE_ALIASES = {"binary-+": "+", "binary-*": "*"}
 
 
 def apply_primitive(name, args):

@@ -10,7 +10,7 @@ truncate: addition yields one extra bit, multiplication the sum of the
 operand widths.
 """
 
-from .concrete import apply_primitive
+from .concrete import PRIMITIVES, apply_primitive
 from .errors import EvalError, IndeterminateError
 from .values import NIL, T, Cons, is_boolean_value, is_integer, is_number
 from .symobj import (
@@ -21,6 +21,8 @@ from .symobj import (
     GIte,
     GNumber,
     GVar,
+    as_bool_expr,
+    as_cons_parts,
     bool_obj,
     bits_to_int,
     cons_obj,
@@ -225,32 +227,15 @@ def _equal_impl(ctx, args):
             acc = eng.and_(acc, eng.iff_(p, q))
         return bool_obj(acc, eng)
     if ca == _BOOLISH:
-        ea = a.val if isinstance(a, GBoolean) else eng.const(a.value is T)
-        eb = b.val if isinstance(b, GBoolean) else eng.const(b.value is T)
-        return bool_obj(eng.iff_(ea, eb), eng)
+        return bool_obj(eng.iff_(as_bool_expr(a, eng), as_bool_expr(b, eng)),
+                        eng)
     # cons pairs: recurse and conjoin
-    pa = (a.car, a.cdr) if isinstance(a, ConsObj) else \
-        (Concrete(a.value.car), Concrete(a.value.cdr))
-    pb = (b.car, b.cdr) if isinstance(b, ConsObj) else \
-        (Concrete(b.value.car), Concrete(b.value.cdr))
-    sub1 = apply_counterpart(ctx, "equal", [pa[0], pb[0]])
-    sub2 = apply_counterpart(ctx, "equal", [pa[1], pb[1]])
-    e1 = _bool_expr_of(sub1, eng)
-    e2 = _bool_expr_of(sub2, eng)
+    (a_car, a_cdr), (b_car, b_cdr) = as_cons_parts(a), as_cons_parts(b)
+    e1 = as_bool_expr(apply_counterpart(ctx, "equal", [a_car, b_car]), eng)
+    e2 = as_bool_expr(apply_counterpart(ctx, "equal", [a_cdr, b_cdr]), eng)
     if e1 is None or e2 is None:
         return ctx.g_apply("equal", args)
     return bool_obj(eng.and_(e1, e2), eng)
-
-
-def _bool_expr_of(obj, eng):
-    if isinstance(obj, GBoolean):
-        return obj.val
-    if isinstance(obj, Concrete):
-        if obj.value is T:
-            return eng.true
-        if obj.value is NIL:
-            return eng.false
-    return None
 
 
 def _not_impl(ctx, args):
@@ -459,7 +444,7 @@ def _always_equal_impl(ctx, args):
     eq = apply_counterpart(ctx, "equal", list(args))
     if isinstance(eq, GApply):
         return ctx.g_apply("always-equal", args)
-    phi = _bool_expr_of(eq, eng)
+    phi = as_bool_expr(eq, eng)
     if eng.valid(phi):
         return Concrete(T)
     not_phi = eng.not_(phi)
@@ -475,37 +460,38 @@ def _always_equal_impl(ctx, args):
                 ctx.g_apply("always-equal", args))
 
 
+# name -> counterpart; arities come from concrete.PRIMITIVES
 _HANDLERS = {
-    "+": (_add_impl, "binary-+", None),
-    "-": (_sub_impl, "-", (1, 2)),
-    "*": (_mul_impl, "binary-*", None),
-    "<": (_lt_impl, "<", (2, 2)),
-    "equal": (_equal_impl, "equal", (2, 2)),
-    "not": (_not_impl, "not", (1, 1)),
-    "consp": (_recognizer_impl("consp", NIL, NIL, T), "consp", (1, 1)),
-    "integerp": (_recognizer_impl("integerp", T, NIL, NIL), "integerp", (1, 1)),
-    "rationalp": (_recognizer_impl("rationalp", T, NIL, NIL),
-                  "rationalp", (1, 1)),
-    "acl2-numberp": (_recognizer_impl("acl2-numberp", T, NIL, NIL),
-                     "acl2-numberp", (1, 1)),
-    "booleanp": (_recognizer_impl("booleanp", NIL, T, NIL), "booleanp", (1, 1)),
-    "car": (_car_impl, "car", (1, 1)),
-    "cdr": (_cdr_impl, "cdr", (1, 1)),
-    "cons": (_cons_impl, "cons", (2, 2)),
-    "logand": (_logop_impl("logand"), "logand", None),
-    "logior": (_logop_impl("logior"), "logior", None),
-    "logxor": (_logop_impl("logxor"), "logxor", None),
-    "lognot": (_lognot_impl, "lognot", (1, 1)),
-    "ash": (_ash_impl, "ash", (2, 2)),
-    "logbitp": (_logbitp_impl, "logbitp", (2, 2)),
-    "logcount": (_logcount_impl, "logcount", (1, 1)),
-    "expt": (_expt_impl, "expt", (2, 2)),
-    "floor": (_escape_only_impl("floor"), "floor", (2, 2)),
-    "mod": (_escape_only_impl("mod"), "mod", (2, 2)),
-    "if-degenerate-free": (_if_degenerate_free_impl, "if-degenerate-free",
-                           (3, 3)),
-    "always-equal": (_always_equal_impl, "always-equal", (2, 2)),
+    "+": _add_impl,
+    "-": _sub_impl,
+    "*": _mul_impl,
+    "<": _lt_impl,
+    "equal": _equal_impl,
+    "not": _not_impl,
+    "consp": _recognizer_impl("consp", NIL, NIL, T),
+    "integerp": _recognizer_impl("integerp", T, NIL, NIL),
+    "rationalp": _recognizer_impl("rationalp", T, NIL, NIL),
+    "acl2-numberp": _recognizer_impl("acl2-numberp", T, NIL, NIL),
+    "booleanp": _recognizer_impl("booleanp", NIL, T, NIL),
+    "car": _car_impl,
+    "cdr": _cdr_impl,
+    "cons": _cons_impl,
+    "logand": _logop_impl("logand"),
+    "logior": _logop_impl("logior"),
+    "logxor": _logop_impl("logxor"),
+    "lognot": _lognot_impl,
+    "ash": _ash_impl,
+    "logbitp": _logbitp_impl,
+    "logcount": _logcount_impl,
+    "expt": _expt_impl,
+    "floor": _escape_only_impl("floor"),
+    "mod": _escape_only_impl("mod"),
+    "if-degenerate-free": _if_degenerate_free_impl,
+    "always-equal": _always_equal_impl,
 }
+
+# the escape tags that differ from the name (concrete.PRIMITIVE_ALIASES)
+_ESCAPE_NAMES = {"+": "binary-+", "*": "binary-*"}
 
 # structure-preserving ops where pushing through branch objects would
 # only lose sharing
@@ -519,19 +505,17 @@ def has_counterpart(name):
 def apply_counterpart(ctx, name, args):
     """Run the counterpart for `name`, distributing over if-then-else
     objects in the arguments first."""
-    impl, escape_name, arity = _HANDLERS[name]
-    if arity is not None:
-        lo, hi = arity
-        if not (lo <= len(args) <= hi):
-            raise EvalError("arity mismatch for %s: got %d arguments"
-                            % (name, len(args)))
+    lo, hi, _ = PRIMITIVES[name]
+    if len(args) < lo or (hi is not None and len(args) > hi):
+        raise EvalError("arity mismatch for %s: got %d arguments"
+                        % (name, len(args)))
     if name not in _NO_DISTRIBUTE:
         for i, a in enumerate(args):
             if isinstance(a, GIte):
                 try:
                     tt = truth_expr(a.test, ctx.eng)
                 except IndeterminateError:
-                    return ctx.g_apply(escape_name, args)
+                    return ctx.g_apply(_ESCAPE_NAMES.get(name, name), args)
                 if ctx.eng.is_true(tt):
                     return apply_counterpart(
                         ctx, name, args[:i] + [a.then] + args[i + 1:])
@@ -543,4 +527,4 @@ def apply_counterpart(ctx, name, args):
                 els = apply_counterpart(
                     ctx, name, args[:i] + [a.els] + args[i + 1:])
                 return merge_ite(ctx.eng, tt, then, els)
-    return impl(ctx, args)
+    return _HANDLERS[name](ctx, args)

@@ -9,7 +9,7 @@ Counterexamples are re-verified concretely; coverage of the bindings
 against the hypothesis runs after the symbolic phase.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field, fields
 
 from .concrete import eval_concrete
 from .engine import make_engine
@@ -51,11 +51,13 @@ from .values import NIL, T, is_integer, is_number, print_value, values_equal
 
 
 @dataclass
-class TheoremSpec:
+class _Spec:
+    """What both theorem forms share.  The per-theorem options are
+    keyword-only and declared here once."""
     name: str
     hyp: object
     concl: object
-    g_bindings: dict  # var name -> ShapeSpec
+    _: KW_ONLY
     mode: str = None
     do_not_expand: frozenset = frozenset()
     counterexample_count: int = 3
@@ -64,18 +66,15 @@ class TheoremSpec:
 
 
 @dataclass
-class ParamTheoremSpec:
-    name: str
-    hyp: object
-    concl: object
+class TheoremSpec(_Spec):
+    g_bindings: dict  # var name -> ShapeSpec
+
+
+@dataclass
+class ParamTheoremSpec(_Spec):
     param_bindings: list  # [(case assignment: var -> value, g_bindings)]
     param_hyp: object
     cov_bindings: dict
-    mode: str = None
-    do_not_expand: frozenset = frozenset()
-    counterexample_count: int = 3
-    seed: int = None
-    coverage_only: bool = False
 
 
 @dataclass
@@ -161,8 +160,7 @@ def validate_bindings(bindings, hyp, concl, name):
 
 # -- hypothesis-space restriction ---------------------------------------------
 
-def parametrize_bindings(hyp_expr, objs, eng, indices,
-                         sat_conflict_budget=None):
+def parametrize_bindings(hyp_expr, objs, eng, indices):
     """Restrict the bound objects to the hypothesis-satisfying space.
 
     Canonical mode composes a full input-space parametrization through
@@ -176,10 +174,8 @@ def parametrize_bindings(hyp_expr, objs, eng, indices,
         sigma = eng.parametrize(hyp_expr, idxs)
         sub = lambda e: eng.compose(e, sigma)
     else:
-        if sat_conflict_budget is None:
-            sat_conflict_budget = eng.sat_conflict_budget
         forced = forced_constants(eng, hyp_expr, idxs, solve_cnf,
-                                  conflict_budget=sat_conflict_budget)
+                                  conflict_budget=eng.sat_conflict_budget)
         sub = lambda e: eng.substitute(e, forced)
     new_objs = {v: map_symobj_exprs(o, sub) for v, o in objs.items()}
     return new_objs, sub(hyp_expr)
@@ -472,9 +468,7 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
             return _finish(Proved(warnings=(
                 "vacuous hypothesis: no input satisfies it",)), state, eng)
         stage = "parametrize"
-        pobjs, hyp_p = parametrize_bindings(
-            hyp_expr, objs, eng, indices,
-            sat_conflict_budget=opts.sat_conflict_budget)
+        pobjs, hyp_p = parametrize_bindings(hyp_expr, objs, eng, indices)
         stage = "concl"
         c = interp.run(spec.concl, pobjs)
         bad = eng.and_(nil_possibility(c, eng), hyp_p)
@@ -557,7 +551,7 @@ def _add_stats(a, b):
         return b
     out = {k: a[k] + b[k] for k in a if k != "dispatch"}
     out["dispatch"] = {k: a["dispatch"].get(k, 0) + b["dispatch"].get(k, 0)
-                       for k in a["dispatch"].keys() | b["dispatch"].keys()}
+                       for k in {**a["dispatch"], **b["dispatch"]}}
     return out
 
 
@@ -579,6 +573,13 @@ def _case_label(assignment):
                           for v, val in sorted(assignment.items())) + ")"
 
 
+def _obligation(spec, name, hyp, concl, g_bindings):
+    """A plain theorem that carries `spec`'s options."""
+    return TheoremSpec(name, hyp, concl, g_bindings,
+                       **{f.name: getattr(spec, f.name)
+                          for f in fields(_Spec) if f.kw_only})
+
+
 def prove_gl_param_thm(spec, defs, cfg, opts=None):
     """Case-split proof: each case is proved as its own theorem with the
     case hypothesis conjoined, then a completeness obligation shows the
@@ -590,12 +591,8 @@ def prove_gl_param_thm(spec, defs, cfg, opts=None):
         label = _case_label(assignment)
         sub_hyp = _and_terms(spec.hyp,
                              substitute_constants(spec.param_hyp, assignment))
-        case_spec = TheoremSpec(
-            name="%s %s" % (spec.name, label),
-            hyp=sub_hyp, concl=spec.concl, g_bindings=bindings,
-            mode=spec.mode, do_not_expand=spec.do_not_expand,
-            counterexample_count=spec.counterexample_count, seed=spec.seed,
-            coverage_only=spec.coverage_only)
+        case_spec = _obligation(spec, "%s %s" % (spec.name, label), sub_hyp,
+                                spec.concl, bindings)
         result = prove_gl_thm(case_spec, defs, cfg, opts)
         stats = result.stats = _add_stats(stats, result.stats)
         if result.kind not in ("proved", "coverage-ok"):
@@ -603,12 +600,8 @@ def prove_gl_param_thm(spec, defs, cfg, opts=None):
             return result
     disjuncts = [substitute_constants(spec.param_hyp, assignment)
                  for assignment, _ in spec.param_bindings]
-    comp_spec = TheoremSpec(
-        name="%s (completeness)" % spec.name,
-        hyp=spec.hyp, concl=_or_terms(disjuncts), g_bindings=spec.cov_bindings,
-        mode=spec.mode, do_not_expand=spec.do_not_expand,
-        counterexample_count=spec.counterexample_count, seed=spec.seed,
-        coverage_only=spec.coverage_only)
+    comp_spec = _obligation(spec, "%s (completeness)" % spec.name, spec.hyp,
+                            _or_terms(disjuncts), spec.cov_bindings)
     result = prove_gl_thm(comp_spec, defs, cfg, opts)
     result.stats = _add_stats(stats, result.stats)
     if result.kind not in ("proved", "coverage-ok"):

@@ -6,6 +6,7 @@ Produces values from text.  Numeric literals accept decimal, `#x`,
 forms.  Errors carry line and column.
 """
 
+import re
 from fractions import Fraction
 
 from .errors import ReadError
@@ -21,8 +22,26 @@ from .values import (
     normalize_number,
 )
 
-_DELIMS = "()\"';`,"
 _SUGAR = {"'": QUOTE, "`": QUASIQUOTE, ",": UNQUOTE}
+_RADIX = {"x": 16, "b": 2, "o": 8}
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+# Blanks are exactly space, tab, CR and LF (not `\s`, which also takes
+# form feeds and Unicode spaces); a word runs up to a blank or delimiter.
+_WORD = r"""[^ \t\r\n()"';`,]"""
+_TOKEN_RE = re.compile("|".join([
+    r"(?P<blank>(?:[ \t\r\n]+|;[^\n]*)+)",
+    r"(?P<open>\()",
+    r"(?P<close>\))",
+    r"(?P<sugar>['`,])",
+    r'(?P<string>"[^"\\]*(?:\\.[^"\\]*)*")',
+    r'(?P<unterminated>")',
+    r"(?P<char>#\\(?:.%s*)?)" % _WORD,
+    r"(?P<radix>#[xXbBoO]%s*)" % _WORD,
+    r"(?P<hash>#)",
+    r"(?P<word>%s+)" % _WORD,
+]), re.DOTALL)
+_ESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
 
 class _Tokenizer:
@@ -30,133 +49,69 @@ class _Tokenizer:
         self.text = text
         self.pos = 0
         self.line = 1
-        self.col = 1
-
-    def error(self, msg, line=None, col=None):
-        return ReadError(msg, self.line if line is None else line,
-                         self.col if col is None else col)
-
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.pos < len(self.text):
-                if self.text[self.pos] == "\n":
-                    self.line += 1
-                    self.col = 1
-                else:
-                    self.col += 1
-                self.pos += 1
-
-    def _skip_blank(self):
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == ";":
-                while self.pos < len(text) and text[self.pos] != "\n":
-                    self._advance()
-            else:
-                return
+        self._line_start = 0  # offset of the first character of self.line
+        self._counted = 0  # newlines before this offset are in self.line
 
     def next_token(self):
         """Return (kind, payload, line, col) or None at end of input.
 
         Kinds: 'open', 'close', 'dot', 'sugar', 'atom'.
         """
-        self._skip_blank()
-        if self.pos >= len(self.text):
+        text = self.text
+        m = _TOKEN_RE.match(text, self.pos)
+        if m is not None and m.lastgroup == "blank":
+            m = _TOKEN_RE.match(text, m.end())
+        if m is None:
             return None
-        line, col = self.line, self.col
-        ch = self.text[self.pos]
-        if ch == "(":
-            self._advance()
-            return ("open", None, line, col)
-        if ch == ")":
-            self._advance()
-            return ("close", None, line, col)
-        if ch in _SUGAR:
-            self._advance()
-            return ("sugar", _SUGAR[ch], line, col)
-        if ch == '"':
-            return ("atom", self._read_string(), line, col)
-        if ch == "#":
-            return ("atom", self._read_hash(), line, col)
-        word = self._read_word()
-        if word == ".":
-            return ("dot", None, line, col)
-        return ("atom", _parse_atom(word, self, line, col), line, col)
-
-    def _read_word(self):
-        start = self.pos
-        text = self.text
-        while self.pos < len(text):
-            ch = text[self.pos]
-            if ch in " \t\r\n" or ch in _DELIMS:
-                break
-            self._advance()
-        return text[start:self.pos]
-
-    def _read_string(self):
-        line, col = self.line, self.col
-        self._advance()  # opening quote
-        out = []
-        text = self.text
-        while True:
-            if self.pos >= len(text):
-                raise self.error("unterminated string", line, col)
-            ch = text[self.pos]
-            self._advance()
-            if ch == '"':
-                return "".join(out)
-            if ch == "\\":
-                if self.pos >= len(text):
-                    raise self.error("unterminated string", line, col)
-                esc = text[self.pos]
-                self._advance()
-                if esc == "n":
-                    out.append("\n")
-                elif esc == "t":
-                    out.append("\t")
-                else:
-                    out.append(esc)
-            else:
-                out.append(ch)
-
-    def _read_hash(self):
-        line, col = self.line, self.col
-        self._advance()  # '#'
-        if self.pos >= len(self.text):
-            raise self.error("dangling #", line, col)
-        ch = self.text[self.pos]
-        if ch == "\\":
-            self._advance()
-            if self.pos >= len(self.text):
-                raise self.error("dangling character literal", line, col)
-            first = self.text[self.pos]
-            self._advance()
-            rest = self._read_word()
-            if rest:
-                named = named_char(first + rest)
-                if named is None:
-                    raise self.error("unknown character name #\\%s" % (first + rest),
-                                     line, col)
-                return Char(named)
-            return Char(first)
-        if ch in "xXbBoO":
-            base = {"x": 16, "b": 2, "o": 8}[ch.lower()]
-            self._advance()
-            word = self._read_word()
+        start = m.start()
+        newlines = text.count("\n", self._counted, start)
+        if newlines:
+            self.line += newlines
+            self._line_start = text.rfind("\n", self._counted, start) + 1
+        self._counted = start
+        line, col = self.line, start - self._line_start + 1
+        self.pos = m.end()
+        kind, tok = m.lastgroup, m.group()
+        if kind == "word":
+            if tok == ".":
+                return ("dot", None, line, col)
+            return ("atom", _parse_atom(tok, line, col), line, col)
+        if kind in ("open", "close"):
+            return (kind, None, line, col)
+        if kind == "sugar":
+            return ("sugar", _SUGAR[tok], line, col)
+        if kind == "string":
+            body = tok[1:-1]
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(lambda e: _ESCAPES.get(e[1], e[1]),
+                                      body)
+            return ("atom", body, line, col)
+        if kind == "unterminated":
+            raise ReadError("unterminated string", line, col)
+        if kind == "char":
+            if len(tok) == 2:
+                raise ReadError("dangling character literal", line, col)
+            if len(tok) == 3:
+                return ("atom", Char(tok[2]), line, col)
+            named = named_char(tok[2:])
+            if named is None:
+                raise ReadError("unknown character name %s" % tok, line, col)
+            return ("atom", Char(named), line, col)
+        if kind == "radix":
+            base = _RADIX[tok[1].lower()]
             try:
-                return int(word, base)
+                return ("atom", int(tok[2:], base), line, col)
             except ValueError:
-                raise self.error("bad radix-%d literal #%s%s" % (base, ch, word),
-                                 line, col) from None
-        raise self.error("unsupported # syntax", line, col)
+                raise ReadError("bad radix-%d literal %s" % (base, tok),
+                                line, col) from None
+        if self.pos == len(text):
+            raise ReadError("dangling #", line, col)
+        raise ReadError("unsupported # syntax", line, col)
 
 
-def _parse_atom(word, tok, line, col):
+def _parse_atom(word, line, col):
     if not word:
-        raise tok.error("empty token", line, col)
+        raise ReadError("empty token", line, col)
     try:
         return int(word, 10)
     except ValueError:
@@ -168,7 +123,7 @@ def _parse_atom(word, tok, line, col):
         except ValueError:
             return Symbol(word)
         if d == 0:
-            raise tok.error("zero denominator in %s" % word, line, col)
+            raise ReadError("zero denominator in %s" % word, line, col)
         return normalize_number(Fraction(n, d))
     return Symbol(word)
 
@@ -180,13 +135,13 @@ def _read_one(tok, token):
     if kind == "sugar":
         nxt = tok.next_token()
         if nxt is None:
-            raise tok.error("nothing after %s" % payload.name, line, col)
+            raise ReadError("nothing after %s" % payload.name, line, col)
         return Cons(payload, Cons(_read_one(tok, nxt), NIL))
     if kind == "open":
         return _read_list(tok, line, col)
     if kind == "close":
-        raise tok.error("unexpected )", line, col)
-    raise tok.error("unexpected .", line, col)
+        raise ReadError("unexpected )", line, col)
+    raise ReadError("unexpected .", line, col)
 
 
 def _read_list(tok, line, col):
@@ -195,20 +150,20 @@ def _read_list(tok, line, col):
     while True:
         token = tok.next_token()
         if token is None:
-            raise tok.error("unterminated list", line, col)
+            raise ReadError("unterminated list", line, col)
         kind = token[0]
         if kind == "close":
             break
         if kind == "dot":
             if not items:
-                raise tok.error("dot at start of list", token[2], token[3])
+                raise ReadError("dot at start of list", token[2], token[3])
             token = tok.next_token()
             if token is None or token[0] in ("close", "dot"):
-                raise tok.error("dot needs exactly one trailing value", line, col)
+                raise ReadError("dot needs exactly one trailing value", line, col)
             tail = _read_one(tok, token)
             closer = tok.next_token()
             if closer is None or closer[0] != "close":
-                raise tok.error("expected ) after dotted tail", line, col)
+                raise ReadError("expected ) after dotted tail", line, col)
             break
         items.append(_read_one(tok, token))
     out = tail

@@ -264,7 +264,7 @@ def truth_expr(obj, eng):
 
 # -- if-merging ---------------------------------------------------------------
 
-def _as_bool_expr(obj, eng):
+def as_bool_expr(obj, eng):
     if isinstance(obj, GBoolean):
         return obj.val
     if isinstance(obj, Concrete):
@@ -283,7 +283,7 @@ def _as_number_bits(obj, eng):
     return None
 
 
-def _as_cons_parts(obj):
+def as_cons_parts(obj):
     if isinstance(obj, ConsObj):
         return obj.car, obj.cdr
     if isinstance(obj, Concrete) and isinstance(obj.value, Cons):
@@ -305,7 +305,7 @@ def merge_ite(eng, test, then, els):
     if (isinstance(then, Concrete) and isinstance(els, Concrete)
             and values_equal(then.value, els.value)):
         return then
-    bt, be = _as_bool_expr(then, eng), _as_bool_expr(els, eng)
+    bt, be = as_bool_expr(then, eng), as_bool_expr(els, eng)
     if bt is not None and be is not None:
         return bool_obj(eng.ite(test, bt, be), eng)
     nt, ne = _as_number_bits(then, eng), _as_number_bits(els, eng)
@@ -313,7 +313,7 @@ def merge_ite(eng, test, then, els):
         w = max(len(nt), len(ne))
         nt, ne = sign_extend(nt, w), sign_extend(ne, w)
         return number_obj(tuple(eng.ite(test, a, b) for a, b in zip(nt, ne)), eng)
-    ct, ce = _as_cons_parts(then), _as_cons_parts(els)
+    ct, ce = as_cons_parts(then), as_cons_parts(els)
     if ct is not None and ce is not None:
         return cons_obj(merge_ite(eng, test, ct[0], ce[0]),
                         merge_ite(eng, test, ct[1], ce[1]))

@@ -90,67 +90,47 @@ def _resolve_bindings_value(v, line, in_quasi=False):
     return v
 
 
-def parse_bindings(v, line):
-    """((var shape) ...) -> ordered dict var name -> ShapeSpec."""
-    resolved = _resolve_bindings_value(v, line)
-    entries, tail = list_elements(resolved)
+def _binding_dict(v, line, parse_value=parse_shape):
+    """A resolved list ((var x) ...) -> ordered dict var name ->
+    parse_value(x), binding each variable once."""
+    entries, tail = list_elements(v)
     if tail is not NIL:
         raise _form_error("malformed bindings: %s" % print_value(v), line)
     out = {}
     for entry in entries:
-        if not (isinstance(entry, Cons) and isinstance(entry.car, Symbol)
-                and isinstance(entry.cdr, Cons) and entry.cdr.cdr is NIL):
-            raise _form_error("binding entries look like (var shape)", line)
-        name = entry.car.name
-        if name in out:
-            raise _form_error("duplicate binding for %s" % name, line)
-        out[name] = parse_shape(entry.cdr.car)
-    return out
-
-
-def _parse_case_assignment(v, line):
-    entries, tail = list_elements(v)
-    if tail is not NIL:
-        raise _form_error("malformed case assignment", line)
-    out = {}
-    for entry in entries:
         pair, ptail = list_elements(entry)
         if ptail is not NIL or len(pair) != 2 or not isinstance(pair[0], Symbol):
-            raise _form_error("case assignments look like ((var value) ...)",
-                              line)
-        out[pair[0].name] = pair[1]
+            raise _form_error("binding entries look like (var value), not %s"
+                              % print_value(entry), line)
+        name = pair[0].name
+        if name in out:
+            raise _form_error("duplicate binding for %s" % name, line)
+        out[name] = parse_value(pair[1])
     return out
+
+
+def parse_bindings(v, line):
+    """((var shape) ...) -> ordered dict var name -> ShapeSpec."""
+    return _binding_dict(_resolve_bindings_value(v, line), line)
 
 
 def parse_param_bindings(v, line):
-    resolved = _resolve_bindings_value(v, line)
-    entries, tail = list_elements(resolved)
+    """(((case assignment) (bindings)) ...) -> [(var -> value, bindings)]."""
+    entries, tail = list_elements(_resolve_bindings_value(v, line))
     if tail is not NIL or not entries:
         raise _form_error("malformed :param-bindings", line)
     out = []
-    case_vars = None
     for entry in entries:
         parts, ptail = list_elements(entry)
         if ptail is not NIL or len(parts) != 2:
             raise _form_error(
                 ":param-bindings entries look like ((assignment) (bindings))",
                 line)
-        assignment = _parse_case_assignment(parts[0], line)
-        if case_vars is None:
-            case_vars = set(assignment)
-        elif set(assignment) != case_vars:
+        assignment = _binding_dict(parts[0], line, lambda value: value)
+        if out and set(assignment) != set(out[0][0]):
             raise _form_error("every case must bind the same case variables",
                               line)
-        bindings = {}
-        subentries, stail = list_elements(parts[1])
-        if stail is not NIL:
-            raise _form_error("malformed case bindings", line)
-        for sub in subentries:
-            if not (isinstance(sub, Cons) and isinstance(sub.car, Symbol)
-                    and isinstance(sub.cdr, Cons) and sub.cdr.cdr is NIL):
-                raise _form_error("binding entries look like (var shape)", line)
-            bindings[sub.car.name] = parse_shape(sub.cdr.car)
-        out.append((assignment, bindings))
+        out.append((assignment, _binding_dict(parts[1], line)))
     return out
 
 
@@ -206,69 +186,62 @@ def _common_options(kwargs, line):
     return opts
 
 
-def _parse_def_gl_thm(items, line):
+def _parse_theorem(form, items, line, own):
+    """The keyword fields of a theorem form: its name, `:hyp`, `:concl`,
+    the common options, and each (keyword, field, parser) in `own`, all
+    of which are required."""
     if not items or not isinstance(items[0], Symbol):
-        raise _form_error("def-gl-thm wants a name", line)
+        raise _form_error("%s wants a name" % form, line)
     name = items[0].name
     kwargs = _keyword_args(items[1:], line)
-    if ":concl" not in kwargs:
-        raise _form_error("def-gl-thm %s needs :concl" % name, line)
-    if ":g-bindings" not in kwargs:
-        raise _form_error("def-gl-thm %s needs :g-bindings" % name, line)
-    hyp = parse_term(kwargs.pop(":hyp", T))
-    concl = parse_term(kwargs.pop(":concl"))
-    bindings = parse_bindings(kwargs.pop(":g-bindings"), line)
-    opts = _common_options(kwargs, line)
+    for required in (":concl",) + tuple(kw for kw, _, _ in own):
+        if required not in kwargs:
+            raise _form_error("%s %s needs %s" % (form, name, required), line)
+    fields = {"name": name, "hyp": parse_term(kwargs.pop(":hyp", T)),
+              "concl": parse_term(kwargs.pop(":concl"))}
+    for kw, field, parse in own:
+        fields[field] = parse(kwargs.pop(kw), line)
+    fields.update(_common_options(kwargs, line))
     if kwargs:
-        raise _form_error("unknown keywords %s in def-gl-thm %s"
-                          % (", ".join(sorted(kwargs)), name), line)
-    missing = (free_vars(hyp) | free_vars(concl)) - set(bindings)
+        raise _form_error("unknown keywords %s in %s %s"
+                          % (", ".join(sorted(kwargs)), form, name), line)
+    return fields
+
+
+def _require_bound(needed, bindings, what, line):
+    missing = needed - set(bindings)
     if missing:
-        raise _form_error("def-gl-thm %s has no binding for %s"
-                          % (name, ", ".join(sorted(missing))), line)
-    return TheoremSpec(name=name, hyp=hyp, concl=concl, g_bindings=bindings,
-                       **opts)
+        raise _form_error("%s has no binding for %s"
+                          % (what, ", ".join(sorted(missing))), line)
+
+
+def _parse_def_gl_thm(items, line):
+    spec = TheoremSpec(**_parse_theorem(
+        "def-gl-thm", items, line,
+        [(":g-bindings", "g_bindings", parse_bindings)]))
+    _require_bound(free_vars(spec.hyp) | free_vars(spec.concl),
+                   spec.g_bindings, "def-gl-thm %s" % spec.name, line)
+    return spec
 
 
 def _parse_def_gl_param_thm(items, line):
-    if not items or not isinstance(items[0], Symbol):
-        raise _form_error("def-gl-param-thm wants a name", line)
-    name = items[0].name
-    kwargs = _keyword_args(items[1:], line)
-    for required in (":concl", ":param-bindings", ":param-hyp",
-                     ":cov-bindings"):
-        if required not in kwargs:
-            raise _form_error("def-gl-param-thm %s needs %s" % (name, required),
-                              line)
-    hyp = parse_term(kwargs.pop(":hyp", T))
-    concl = parse_term(kwargs.pop(":concl"))
-    param_bindings = parse_param_bindings(kwargs.pop(":param-bindings"), line)
-    param_hyp = parse_term(kwargs.pop(":param-hyp"))
-    cov_bindings = parse_bindings(kwargs.pop(":cov-bindings"), line)
-    opts = _common_options(kwargs, line)
-    if kwargs:
-        raise _form_error("unknown keywords %s in def-gl-param-thm %s"
-                          % (", ".join(sorted(kwargs)), name), line)
-    needed = free_vars(hyp) | free_vars(concl)
-    case_vars = set(param_bindings[0][0])
-    for assignment, bindings in param_bindings:
-        missing = needed - set(bindings)
-        if missing:
-            raise _form_error(
-                "def-gl-param-thm %s: case %s has no binding for %s"
-                % (name, sorted(assignment), ", ".join(sorted(missing))), line)
-    missing = needed - set(cov_bindings)
-    if missing:
-        raise _form_error("def-gl-param-thm %s: :cov-bindings misses %s"
-                          % (name, ", ".join(sorted(missing))), line)
-    stray = free_vars(param_hyp) - case_vars - needed - set(cov_bindings)
+    spec = ParamTheoremSpec(**_parse_theorem(
+        "def-gl-param-thm", items, line,
+        [(":param-bindings", "param_bindings", parse_param_bindings),
+         (":param-hyp", "param_hyp", lambda v, _line: parse_term(v)),
+         (":cov-bindings", "cov_bindings", parse_bindings)]))
+    what = "def-gl-param-thm %s" % spec.name
+    needed = free_vars(spec.hyp) | free_vars(spec.concl)
+    for assignment, bindings in spec.param_bindings:
+        _require_bound(needed, bindings,
+                       "%s: case %s" % (what, sorted(assignment)), line)
+    _require_bound(needed, spec.cov_bindings, what + ": :cov-bindings", line)
+    stray = (free_vars(spec.param_hyp) - set(spec.param_bindings[0][0])
+             - needed - set(spec.cov_bindings))
     if stray:
-        raise _form_error("def-gl-param-thm %s: :param-hyp mentions %s"
-                          % (name, ", ".join(sorted(stray))), line)
-    return ParamTheoremSpec(name=name, hyp=hyp, concl=concl,
-                            param_bindings=param_bindings,
-                            param_hyp=param_hyp, cov_bindings=cov_bindings,
-                            **opts)
+        raise _form_error("%s: :param-hyp mentions %s"
+                          % (what, ", ".join(sorted(stray))), line)
+    return spec
 
 
 # -- events -------------------------------------------------------------------

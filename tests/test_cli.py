@@ -66,6 +66,17 @@ def test_parse_error_exit_3(tmp_path):
     assert rc == 3
 
 
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    f = tmp_path / "deep.lisp"
+    f.write_text("(" * 60_000)
+    try:
+        rc, out, err = run_cli([str(f)])
+    except RecursionError:  # its traceback is too deep to render quickly
+        rc, out, err = "RecursionError", "", ""
+    assert rc == 3 and out == ""
+    assert err.startswith("parse error:") and "Traceback" not in err
+
+
 def test_keep_going(tmp_path, corpus):
     src = (corpus / "integer_half.lisp").read_text()
     src += "\n(def-gl-thm trailing :hyp (unsigned-byte-p 2 y)" \

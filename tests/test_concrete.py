@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from bitblast.concrete import apply_primitive, eval_concrete
+from bitblast import counterparts, lang
+from bitblast.concrete import PRIMITIVES, apply_primitive, eval_concrete
 from bitblast.errors import EvalError, StepLimitExceeded
 from bitblast.lang import base_env
 from bitblast.values import NIL, T, Cons, Symbol, values_equal
@@ -181,3 +182,10 @@ def test_duplicate_and_primitive_redefinition():
         defs.define("f", ["x"], term("x"))
     with pytest.raises(FileFormatError):
         defs.define("evenp", ["x"], term("x"))  # prelude already has it
+
+
+def test_primitive_tables_agree():
+    # lang cannot import concrete (a cycle), so it keeps its own copy
+    assert lang.PRIMITIVE_NAMES == set(PRIMITIVES)
+    # each counterpart takes its arity from PRIMITIVES
+    assert set(counterparts._HANDLERS) <= set(PRIMITIVES)

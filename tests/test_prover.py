@@ -486,6 +486,22 @@ def test_param_theorem_five_cases(defs, monkeypatch):
         assert r.stats[key] == sum(s[key] for s in run), key
     for kind, n in r.stats["dispatch"].items():
         assert n == sum(s["dispatch"].get(kind, 0) for s in run), kind
+    # the same key order as one obligation's, whatever the hash seed
+    assert list(r.stats["dispatch"]) == list(run[0]["dispatch"])
+
+
+def test_param_obligations_carry_the_theorem_options(defs, monkeypatch):
+    specs = []
+    monkeypatch.setattr(
+        prover, "prove_gl_thm",
+        lambda spec, *args: specs.append(spec) or prover.Proved())
+    options = dict(mode="aig", do_not_expand=frozenset({"f"}),
+                   counterexample_count=2, seed=9, coverage_only=True)
+    spec = _param_spec(defs, PARAM_CASES, **options)
+    assert prove_gl_param_thm(spec, defs, CFG).kind == "proved"
+    assert len(specs) == len(PARAM_CASES) + 1
+    for case_spec in specs:
+        assert {k: getattr(case_spec, k) for k in options} == options
 
 
 def test_param_theorem_dropped_case_fails_completeness(defs):

@@ -129,6 +129,42 @@ def test_rejections():
         """)
 
 
+_PARAM_THM = """
+(def-gl-param-thm p3 :hyp (unsigned-byte-p 2 x) :concl (equal x x)
+  :param-bindings `((%s ((x ,(g-int 0 1 3))))
+                    (((c 1)) ((x ,(g-int 0 1 3)))))
+  :param-hyp t
+  :cov-bindings `((x ,(g-int 0 1 3))))
+"""
+
+
+def test_param_bindings_case_rejects_a_duplicate_variable():
+    src = """
+    (def-gl-param-thm p4 :hyp (unsigned-byte-p 2 x) :concl (equal x x)
+      :param-bindings `((((c 0)) ((x ,(g-int 0 1 3)) (x ,(g-int 4 1 3)))))
+      :param-hyp t
+      :cov-bindings `((x ,(g-int 0 1 3))))
+    """
+    with pytest.raises(FileFormatError, match="duplicate binding for x"):
+        parse_events(src)
+
+
+def test_param_bindings_case_rejects_a_duplicate_case_variable():
+    assert len(parse_events(_PARAM_THM % "((c 0))")) == 1
+    with pytest.raises(FileFormatError, match="duplicate binding for c"):
+        parse_events(_PARAM_THM % "((c 0) (c 1))")
+
+
+def test_g_and_cov_bindings_reject_a_duplicate_variable():
+    with pytest.raises(FileFormatError, match="duplicate binding for x"):
+        parse_events("(def-gl-thm t4 :concl (equal x x) :g-bindings "
+                     "`((x ,(g-int 0 1 3)) (x ,(g-int 4 1 3))))")
+    with pytest.raises(FileFormatError, match="duplicate binding for x"):
+        parse_events(_PARAM_THM.replace(
+            ":cov-bindings `((x", ":cov-bindings `((x ,(g-int 4 1 3)) (x")
+            % "((c 0))")
+
+
 def test_set_preferred_def_directive():
     events = parse_events("""
     (defun half-even-p (x) (integerp (* x 1/2)))
