@@ -6,8 +6,11 @@ the store.  The only rewrites are the local ones: double negation,
 and with a constant, and of equal or complementary children.  AIGs are
 not canonical; `SatSweep` decides satisfiability, and with it
 equivalence, by simulation and SAT sweeping on an incremental solver,
-and finds exact extreme witnesses on that solver.  An AigStore is the
-proof engine of `aig` mode and owns the SatSweep of its queries.
+and finds exact extreme witnesses and the hypothesis's forced constants
+(`forced_constants`) on that solver.  An AigStore is the proof engine
+of `aig` mode and owns the SatSweep of its queries, so one proof runs
+every SAT question on one solver.  `to_cnf` is a standalone Tseitin
+encoding into a `Cnf`; no proof uses it.
 """
 
 import random
@@ -20,7 +23,7 @@ from .errors import (
     SatBudgetExceeded,
     UnsatConstraint,
 )
-from .sat import BUDGET, SAT, UNSAT, Solver
+from .sat import BUDGET, Solver
 
 TRUE = 1
 FALSE = -1
@@ -189,13 +192,14 @@ class AigStore:
         v = vals[abs(x)]
         return v ^ (x < 0)
 
+    def _inputs(self, root):
+        """{variable index: variable node} over root's cone."""
+        nodes = self._nodes
+        return {nodes[n][1]: n for n in self._walk(root)
+                if nodes[n][0] == "var"}
+
     def support(self, x):
-        out = set()
-        for n in self._walk(x):
-            desc = self._nodes[n]
-            if desc[0] == "var":
-                out.add(desc[1])
-        return frozenset(out)
+        return frozenset(self._inputs(x))
 
     def substitute(self, x, consts):
         """Rebuild with some variables replaced by boolean constants."""
@@ -287,33 +291,30 @@ def parse_dimacs(text):
     return num_vars, clauses
 
 
-def forced_constants(store, constraint, indices, solve, conflict_budget=None):
-    """Variables the constraint pins to one polarity.
+def forced_constants(store, constraint, indices):
+    """{index: polarity} for each index in `indices` that every
+    assignment making the constraint true gives the same value; indices
+    outside the constraint's cone are never forced.
 
-    For each index, i -> True is reported when constraint AND NOT b_i is
-    unsatisfiable, i -> False when constraint AND b_i is.  `solve` is
-    sat.solve_cnf or a compatible callable.
+    It runs on the store's SatSweep: one solve finds a model of the
+    constraint, then one solve per cone input assumes the polarity
+    opposite to the model's, and where none exists the input is forced.
+    All their conflicts count against the store's sat_conflict_budget
+    together, SatBudgetExceeded once they pass it; UnsatConstraint when
+    the constraint has no model.
     """
-    cnf, out = store.to_cnf(constraint)
-    kind, model = solve(cnf.num_vars, cnf.clauses, assumptions=[out],
-                        conflict_budget=conflict_budget)
-    if kind is UNSAT:
+    sweep = store._sweep
+    cone = store._inputs(constraint)
+    sweep._left = store.sat_conflict_budget
+    model = sweep._solve(constraint)
+    if model is None:
         raise UnsatConstraint("hypothesis constraint is unsatisfiable")
-    if kind is not SAT:
-        raise SatBudgetExceeded("forced-constant analysis ran out of conflicts")
     forced = {}
     for i in indices:
-        cv = cnf.var_map.get(i)
-        if cv is None:
-            continue  # constraint does not mention it; nothing forced
-        pol = model[cv]
-        probe = -cv if pol else cv
-        kind2, _ = solve(cnf.num_vars, cnf.clauses, assumptions=[out, probe],
-                         conflict_budget=conflict_budget)
-        if kind2 is UNSAT:
-            forced[i] = pol
-        elif kind2 is not SAT:
-            raise SatBudgetExceeded("forced-constant analysis ran out of conflicts")
+        if i in cone:
+            pol = model[sweep._var[cone[i]]]
+            if sweep._solve(constraint, -cone[i] if pol else cone[i]) is None:
+                forced[i] = pol
     return forced
 
 
@@ -349,9 +350,10 @@ class SatSweep:
     splits the classes it did not fit.  The rebuilt root is then a
     constant, or one last solve under the root assumption decides it.
 
-    `witness` searches satisfying assignments on the same solver.  The
-    solver keeps the Tseitin clauses of every node it was asked about,
-    and its learnt clauses, from one query to the next.
+    `witness` searches satisfying assignments on the same solver, and
+    `forced_constants` probes its inputs there.  The solver keeps the
+    Tseitin clauses of every node it was asked about, and its learnt
+    clauses, from one query to the next.
     """
 
     def __init__(self, store):
@@ -516,9 +518,7 @@ class SatSweep:
         """
         if policy not in ("zeros", "ones", "random"):
             raise ValueError("unknown witness policy %r" % (policy,))
-        nodes = self.store._nodes
-        cone = {nodes[n][1]: n for n in self.store._walk(root)
-                if nodes[n][0] == "var"}
+        cone = self.store._inputs(root)
         self._lit(root)  # encode the cone, giving each input a variable
         rng = random.Random(seed)
         want = {i: rng.random() < 0.5 if policy == "random"

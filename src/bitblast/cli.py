@@ -84,6 +84,9 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
     """Process every event in the file, threading definitions, the
     interpreter configuration, and the current proof mode.  Diagnostics
     (traces, escape breaks) go to the error stream."""
+    if counterexamples is not None and counterexamples < 1:
+        raise ValueError("counterexample count must be positive, not %r"
+                         % (counterexamples,))
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
@@ -292,6 +295,9 @@ def main(argv=None, out=sys.stdout, err=sys.stderr):
         return _solve_dimacs(args.solve_dimacs, args.sat_conflicts, out)
     if not args.file:
         print("error: a theorem file is required", file=err)
+        return 3
+    if args.counterexamples is not None and args.counterexamples < 1:
+        print("error: --counterexamples wants a positive count", file=err)
         return 3
     try:
         report = run_file(

@@ -3,11 +3,11 @@ over symbolic objects.
 
 Arithmetic treats syntactic non-numbers (booleans, conses, symbols) as
 0; the bitwise operations additionally treat rationals as 0.  When an
-operand's shape cannot be decided (an escape node or a free object, or
-a rational where integer bits are required), the counterpart emits an
-opaque function-call escape rather than guessing.  Widths never
-truncate: addition yields one extra bit, multiplication the sum of the
-operand widths.
+operand's shape cannot be decided (an escape node, or a rational where
+integer bits are required), the counterpart emits an opaque
+function-call escape rather than guessing.  Widths never truncate:
+addition yields one extra bit, multiplication the sum of the operand
+widths.
 """
 
 from .concrete import PRIMITIVES, apply_primitive
@@ -20,7 +20,6 @@ from .symobj import (
     GBoolean,
     GIte,
     GNumber,
-    GVar,
     as_bool_expr,
     as_cons_parts,
     bool_obj,
@@ -34,7 +33,9 @@ from .symobj import (
     truth_expr,
 )
 
-DEFAULT_SHIFT_SPLIT_BOUND = 8
+# widest symbolic shift count or bit index that is split into one case
+# per value; a wider one escapes
+SHIFT_SPLIT_BOUND = 8
 
 # widest bit vector a shift or power is allowed to materialize; larger
 # results escape instead of exhausting memory
@@ -42,12 +43,10 @@ _MAX_RESULT_WIDTH = 1 << 16
 
 
 class SymbolicContext:
-    """Engine handle plus the knobs counterparts consult."""
+    """Engine handle plus the escape hook counterparts consult."""
 
-    def __init__(self, eng, shift_split_bound=DEFAULT_SHIFT_SPLIT_BOUND,
-                 on_g_apply=None):
+    def __init__(self, eng, on_g_apply=None):
         self.eng = eng
-        self.shift_split_bound = shift_split_bound
         self.on_g_apply = on_g_apply
 
     def g_apply(self, fn, args):
@@ -57,7 +56,7 @@ class SymbolicContext:
 
 
 def _is_escape(obj):
-    return isinstance(obj, (GApply, GVar))
+    return isinstance(obj, GApply)
 
 
 def _arith_bits(obj, eng):
@@ -350,7 +349,7 @@ def _ash_impl(ctx, args):
     if xbits is None:
         return ctx.g_apply("ash", args)
     if isinstance(cnt, GNumber):
-        if len(cnt.bits) > ctx.shift_split_bound:
+        if len(cnt.bits) > SHIFT_SPLIT_BOUND:
             return ctx.g_apply("ash", args)
         return _count_values(
             ctx, cnt, lambda v: number_obj(_shift_const(xbits, v, eng), eng))
@@ -375,7 +374,7 @@ def _logbitp_impl(ctx, args):
         return bool_obj(xbits[min(n, len(xbits) - 1)], eng)
 
     if isinstance(i, GNumber):
-        if len(i.bits) > ctx.shift_split_bound:
+        if len(i.bits) > SHIFT_SPLIT_BOUND:
             return ctx.g_apply("logbitp", args)
         return _count_values(ctx, i, bit_at)
     ibits = _int_bits(i, eng)

@@ -25,12 +25,7 @@ from .concrete import (
     apply_primitive,
     eval_concrete,
 )
-from .counterparts import (
-    DEFAULT_SHIFT_SPLIT_BOUND,
-    SymbolicContext,
-    apply_counterpart,
-    has_counterpart,
-)
+from .counterparts import SymbolicContext, apply_counterpart, has_counterpart
 from .errors import EvalError, IndeterminateError, StepLimitExceeded
 from .lang import Call, If, Let, Quote, Var, free_vars, render_term
 from .symobj import Concrete, GIte, merge_ite, truth_expr
@@ -49,7 +44,6 @@ class InterpConfig:
     step_limit: int = DEFAULT_STEP_LIMIT
     trace: str = TRACE_OFF
     break_on_g_apply: bool = False
-    shift_split_bound: int = DEFAULT_SHIFT_SPLIT_BOUND
 
 
 def set_debug_hooks(cfg, trace=None, break_on_g_apply=None):
@@ -99,8 +93,7 @@ class Interp:
         self.eng = eng
         self.state = state if state is not None else InterpState(cfg.step_limit)
         self.ctx = SymbolicContext(
-            eng, shift_split_bound=cfg.shift_split_bound,
-            on_g_apply=self._on_g_apply if cfg.break_on_g_apply else None)
+            eng, on_g_apply=self._on_g_apply if cfg.break_on_g_apply else None)
 
     def _on_g_apply(self, fn, args):
         from .errors import GApplyBreak

@@ -33,7 +33,9 @@ from .lang import (
     substitute,
     substitute_constants,
 )
-from .sat import solve_cnf
+# no proof calls solve_cnf; perfbench/hooks.py still resolves this name
+# until it reads the proofs' counters instead (ROADMAP item 6)
+from .sat import solve_cnf  # noqa: F401
 from .symobj import (
     map_symobj_exprs,
     nil_possibility,
@@ -174,8 +176,7 @@ def parametrize_bindings(hyp_expr, objs, eng, indices):
         sigma = eng.parametrize(hyp_expr, idxs)
         sub = lambda e: eng.compose(e, sigma)
     else:
-        forced = forced_constants(eng, hyp_expr, idxs, solve_cnf,
-                                  conflict_budget=eng.sat_conflict_budget)
+        forced = forced_constants(eng, hyp_expr, idxs)
         sub = lambda e: eng.substitute(e, forced)
     new_objs = {v: map_symobj_exprs(o, sub) for v, o in objs.items()}
     return new_objs, sub(hyp_expr)

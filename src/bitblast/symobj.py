@@ -3,17 +3,17 @@
 A symbolic object denotes a set of concrete values: Boolean
 expressions sit in the bit positions of numbers (`GNumber`, lsb first,
 last bit the sign) and in the truth slot of booleans (`GBoolean`).
-`GIte` selects between objects, `ConsObj` pairs them, `GApply` is the
-opaque function-call escape, and `GVar` is a fully unconstrained
-object.  A `Concrete` object just represents its value.
+`GIte` selects between objects, `ConsObj` pairs them, and `GApply` is
+the opaque function-call escape.  A `Concrete` object just represents
+its value.
 
 Shape specs are the binding syntax: the same grammar with distinct
 natural-number variable indices in place of the Boolean expressions
-(escapes and free objects are not expressible).
+(escapes are not expressible).
 """
 
 from .concrete import apply_fn
-from .errors import EvalError, IndeterminateError, ShapeError
+from .errors import IndeterminateError, ShapeError
 from .values import (
     NIL,
     RESERVED_TAGS,
@@ -109,19 +109,6 @@ class GApply(SymObj):
         return hash(("gapply", self.fn, self.args))
 
 
-class GVar(SymObj):
-    __slots__ = ("name",)
-
-    def __init__(self, name):
-        self.name = name
-
-    def __eq__(self, other):
-        return isinstance(other, GVar) and self.name == other.name
-
-    def __hash__(self):
-        return hash(("gvar", self.name))
-
-
 class ConsObj(SymObj):
     __slots__ = ("car", "cdr")
 
@@ -203,12 +190,11 @@ def bool_obj(expr, eng):
 
 # -- evaluation ---------------------------------------------------------------
 
-def sym_eval(obj, benv, eng, venv=None, defs=None):
+def sym_eval(obj, benv, eng, defs=None):
     """Evaluate a symbolic object to a concrete value.
 
     benv maps Boolean variable indices to booleans (total over the
-    object's support), venv supplies values for free objects, and defs
-    resolves functions inside escapes.
+    object's support), and defs resolves functions inside escapes.
     """
     if isinstance(obj, Concrete):
         return obj.value
@@ -217,26 +203,22 @@ def sym_eval(obj, benv, eng, venv=None, defs=None):
     if isinstance(obj, GNumber):
         return bits_to_int([eng.eval(b, benv) for b in obj.bits])
     if isinstance(obj, GIte):
-        test = sym_eval(obj.test, benv, eng, venv, defs)
+        test = sym_eval(obj.test, benv, eng, defs)
         branch = obj.then if test is not NIL else obj.els
-        return sym_eval(branch, benv, eng, venv, defs)
+        return sym_eval(branch, benv, eng, defs)
     if isinstance(obj, ConsObj):
-        return Cons(sym_eval(obj.car, benv, eng, venv, defs),
-                    sym_eval(obj.cdr, benv, eng, venv, defs))
+        return Cons(sym_eval(obj.car, benv, eng, defs),
+                    sym_eval(obj.cdr, benv, eng, defs))
     if isinstance(obj, GApply):
-        args = [sym_eval(a, benv, eng, venv, defs) for a in obj.args]
+        args = [sym_eval(a, benv, eng, defs) for a in obj.args]
         return apply_fn(obj.fn, args, defs)
-    if isinstance(obj, GVar):
-        if venv is None or obj.name not in venv:
-            raise EvalError("no value for free object %s" % obj.name)
-        return venv[obj.name]
     raise TypeError("not a symbolic object: %r" % (obj,))
 
 
 def nil_possibility(obj, eng):
     """The Boolean expression that is true exactly where the object
-    evaluates to nil; raises IndeterminateError at escapes and free
-    objects on a relevant path."""
+    evaluates to nil; raises IndeterminateError at escapes on a
+    relevant path."""
     if isinstance(obj, Concrete):
         return eng.const(obj.value is NIL)
     if isinstance(obj, GBoolean):
@@ -252,7 +234,7 @@ def nil_possibility(obj, eng):
         return eng.ite(test_true,
                        nil_possibility(obj.then, eng),
                        nil_possibility(obj.els, eng))
-    if isinstance(obj, (GApply, GVar)):
+    if isinstance(obj, GApply):
         raise IndeterminateError(obj)
     raise TypeError("not a symbolic object: %r" % (obj,))
 
@@ -348,8 +330,6 @@ def render_symobj(obj, eng=None):
         return "(:g-apply %s %s)" % (obj.fn,
                                      " ".join(render_symobj(a, eng)
                                               for a in obj.args))
-    if isinstance(obj, GVar):
-        return "(:g-var . %s)" % obj.name
     if isinstance(obj, ConsObj):
         return "(%s . %s)" % (render_symobj(obj.car, eng),
                               render_symobj(obj.cdr, eng))
@@ -358,7 +338,7 @@ def render_symobj(obj, eng=None):
 
 def map_symobj_exprs(obj, fn):
     """Rebuild an object with fn applied to every Boolean expression."""
-    if isinstance(obj, (Concrete, GVar)):
+    if isinstance(obj, Concrete):
         return obj
     if isinstance(obj, GBoolean):
         return GBoolean(fn(obj.val))

@@ -244,6 +244,35 @@ def test_criterion_10_mode_agreement():
             assert extremes["bdd"] == extremes["aig"], name
 
 
+def test_aig_proofs_run_on_one_solver_each(monkeypatch):
+    # every SAT question of an aig proof (vacuity, forced constants, the
+    # decision, counterexamples) goes to the solver of its store's sweep
+    import bitblast.aig
+    import bitblast.prover
+    import bitblast.sat
+
+    per_proof = []  # solvers built since each make_engine call
+    original = bitblast.prover.make_engine
+
+    class CountedSolver(bitblast.sat.Solver):
+        def __init__(self, *args, **kwargs):
+            per_proof[-1] += 1
+            super().__init__(*args, **kwargs)
+
+    def make_engine(*args, **kwargs):
+        per_proof.append(0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bitblast.sat, "Solver", CountedSolver)
+    monkeypatch.setattr(bitblast.aig, "Solver", CountedSolver)
+    monkeypatch.setattr(bitblast.prover, "make_engine", make_engine)
+    for name, _ in MODE_CORPUS:
+        before = len(per_proof)
+        run_file(str(CORPUS / name), mode="aig", keep_going=True, seed=5)
+        assert len(per_proof) > before, name
+        assert per_proof[before:] == [1] * (len(per_proof) - before), name
+
+
 def test_criterion_11_sat_solver():
     with criterion(11, "1000 seeded CNFs agree with enumeration; "
                        "pigeonhole 4/3 unsat; runs are deterministic"):

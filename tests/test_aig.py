@@ -18,6 +18,7 @@ from helpers import (
     clauses_tt,
     formula_tt,
     random_formula,
+    var_mask,
 )
 
 
@@ -136,14 +137,106 @@ def test_dimacs_round_trip():
 def test_forced_constants():
     s = AigStore()
     b0, b1, b3 = s.var(0), s.var(1), s.var(3)
-    assert forced_constants(s, b3, [3], solve_cnf) == {3: True}
-    assert forced_constants(s, s.or_(b0, b1), [0, 1], solve_cnf) == {}
+    assert forced_constants(s, b3, [3]) == {3: True}
+    assert forced_constants(s, s.or_(b0, b1), [0, 1]) == {}
     constraint = s.and_(b0, s.iff_(b1, b0))
-    assert forced_constants(s, constraint, [0, 1], solve_cnf) == \
+    assert forced_constants(s, constraint, [0, 1]) == \
         {0: True, 1: True}
-    assert forced_constants(s, s.not_(b0), [0, 1], solve_cnf) == {0: False}
+    assert forced_constants(s, s.not_(b0), [0, 1]) == {0: False}
     with pytest.raises(UnsatConstraint):
-        forced_constants(s, FALSE, [0], solve_cnf)
+        forced_constants(s, FALSE, [0])
+
+
+def _expected_forced(s, node, nvars, indices):
+    """Forced constants read off the truth table, or None when no row
+    satisfies node: an index in node's cone that every satisfying row
+    gives the same value."""
+    tt = aig_tt(s, node, nvars)
+    if not tt:
+        return None
+    cone = s.support(node)
+    out = {}
+    for i in indices:
+        if i in cone:
+            m = var_mask(i, nvars)
+            if tt & m in (0, tt):
+                out[i] = tt & m == tt
+    return out
+
+
+def _some_literals(s, rng, nvars):
+    """AND of a random subset of the inputs, each with a random sign."""
+    acc = TRUE
+    for i in rng.sample(range(nvars), rng.randrange(nvars + 1)):
+        acc = s.and_(acc, s.var(i) if rng.random() < 0.5 else -s.var(i))
+    return acc
+
+
+def test_forced_constants_match_the_truth_table():
+    rng = random.Random(23)
+    prepared = dict.fromkeys(SWEEP_STATS, 0)
+    seen = {"forced": 0, "free": 0, "outside": 0, "unsat": 0}
+    for trial in range(64):
+        eng = AigEngine()  # five constraints share one sweep and its solver
+        s = eng.store
+        for k in range(5):
+            nvars = rng.randrange(1, 9)
+            f = build_formula(s, random_formula(rng, nvars, 5))
+            g = build_formula(s, random_formula(rng, nvars, 5))
+            lits = _some_literals(s, rng, nvars)
+            node = (f, s.and_(f, lits), s.and_(s.or_(f, g), lits),
+                    s.or_(s.and_(s.xor_(f, g), lits), s.and_(f, g)))[k % 4]
+            if trial % 2:
+                # the sweep merges nodes and learns clauses first
+                before = eng.sat_stats()
+                eng.satisfiable(s.xor_(f, g))
+                eng.valid(s.or_(g, lits))
+                for key, n in eng.sat_stats().items():
+                    prepared[key] += n - before[key]
+            # indices past the inputs, and inputs outside node's cone
+            indices = rng.sample(range(nvars + 3), rng.randrange(nvars + 4))
+            expected = _expected_forced(s, node, nvars, indices)
+            if expected is None:
+                seen["unsat"] += 1
+                with pytest.raises(UnsatConstraint):
+                    forced_constants(s, node, indices)
+                continue
+            assert forced_constants(s, node, indices) == expected, (trial, k)
+            cone = s.support(node)
+            seen["forced"] += len(expected)
+            seen["free"] += len(cone.intersection(indices)) - len(expected)
+            seen["outside"] += len(set(indices) - cone)
+    assert all(seen.values()), seen
+    assert prepared["sweep_merges"] > 0 and prepared["sat_conflicts"] > 0
+
+
+def _guarded_miters(eng, width):
+    """(miter_0 OR z_0) AND (miter_1 OR z_1), each miter a commutativity
+    miter over its own inputs: the guards z_0 = var 100 and z_1 = var
+    101 are forced true, and proving each takes conflicts."""
+    s = eng.store
+    return s.and_(*(s.or_(_commutativity_miter(eng, width, 2 * width * k),
+                          s.var(100 + k)) for k in range(2)))
+
+
+def test_forced_constants_share_one_conflict_budget():
+    def conflicts(indices, budget=None):
+        eng = AigEngine(sat_conflict_budget=budget)
+        constraint = _guarded_miters(eng, 4)
+        forced = forced_constants(eng, constraint, indices)
+        assert forced == {i: True for i in indices if i >= 100}
+        return eng.sat_stats()["sat_conflicts"]
+
+    every = list(range(16)) + [100, 101]  # all inputs and both guards
+    one, other, both = conflicts([100]), conflicts([101]), conflicts(every)
+    assert 0 < one < both and 0 < other < both
+    # all the solves of one call draw on the one budget: it covers their
+    # total conflicts, and not one fewer
+    assert conflicts(every, both) == both
+    with pytest.raises(SatBudgetExceeded):
+        conflicts(every, max(one, other))
+    with pytest.raises(SatBudgetExceeded):
+        conflicts(every, both - 1)
 
 
 def test_cross_check_with_canonical_engine():
@@ -275,10 +368,10 @@ def _product(s, xs, ys):
     return acc
 
 
-def _commutativity_miter(eng, width):
+def _commutativity_miter(eng, width, base=0):
     s = eng.store
-    xs = [s.var(i) for i in range(width)]
-    ys = [s.var(width + i) for i in range(width)]
+    xs = [s.var(base + i) for i in range(width)]
+    ys = [s.var(base + width + i) for i in range(width)]
     miter = FALSE
     for p, q in zip(_product(s, xs, ys), _product(s, ys, xs)):
         miter = s.or_(miter, s.xor_(p, q))

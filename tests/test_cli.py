@@ -66,6 +66,19 @@ def test_parse_error_exit_3(tmp_path):
     assert rc == 3
 
 
+@pytest.mark.parametrize("count", ["0", "-2"])
+def test_counterexample_count_below_one_is_a_usage_error(corpus, count):
+    # a disproof with no counterexample to show would read INDETERMINATE
+    path = str(corpus / "fast_logcount_32_buggy.lisp")
+    rc, out, err = run_cli([path, "--counterexamples", count])
+    assert rc == 3 and out == ""
+    assert "--counterexamples wants a positive count" in err
+    with pytest.raises(ValueError, match="counterexample count"):
+        run_file(path, counterexamples=int(count))
+    rc, out, _ = run_cli([path, "--counterexamples", "1"])
+    assert rc == 1 and "DISPROVED" in out
+
+
 def test_deep_nesting_is_a_parse_error(tmp_path):
     f = tmp_path / "deep.lisp"
     f.write_text("(" * 60_000)
@@ -213,6 +226,17 @@ def test_json_stats_carry_sat_counters(corpus):
     rc, out, _ = run_cli([path, "--json", "--mode", "bdd"])
     thm = [e for e in json.loads(out)["events"] if e["kind"] == "theorem"][0]
     assert all(thm["stats"][k] == 0 for k in SWEEP_STATS)
+
+
+def test_stats_count_forced_constant_solves(corpus):
+    # both hypotheses pass the vacuity check by simulation and both
+    # conclusions are decided without a solve, so every counted call is
+    # the forced-constant analysis, run on the proof's solver
+    report = run_file(str(corpus / "alu_mode.lisp"), mode="aig")
+    thms = [e for e in report.events if e.kind == "theorem"]
+    assert [t.result["status"] for t in thms] == ["proved", "proved"]
+    assert all(t.stats["sat_calls"] > 0 for t in thms)
+    assert all(t.stats["sweep_candidates"] == 0 for t in thms)
 
 
 def test_json_stats_count_counterexample_solves(corpus):

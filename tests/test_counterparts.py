@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from bitblast import counterparts
 from bitblast.cli import run_file
 from bitblast.concrete import apply_primitive
 from bitblast.counterparts import SymbolicContext, apply_counterpart
@@ -14,7 +15,6 @@ from bitblast.symobj import (
     GBoolean,
     GIte,
     GNumber,
-    GVar,
     g_int,
     shape_to_symobj,
     sym_eval,
@@ -199,8 +199,8 @@ def test_ash_value_identity(ctx, eng):
         == Concrete(2)
 
 
-def test_ash_split_bound_escapes(eng):
-    ctx = SymbolicContext(eng, shift_split_bound=2)
+def test_ash_split_bound_escapes(ctx, eng, monkeypatch):
+    monkeypatch.setattr(counterparts, "SHIFT_SPLIT_BOUND", 2)
     x = GNumber(tuple(eng.var(i) for i in range(4)))
     cnt = GNumber(tuple(eng.var(i) for i in range(4, 8)))
     r = apply_counterpart(ctx, "ash", [x, cnt])
@@ -240,7 +240,7 @@ def test_escape_contagion(ctx, eng):
     esc = GApply("floor", (x, Concrete(3)))
     r = apply_counterpart(ctx, "+", [esc, Concrete(1)])
     assert isinstance(r, GApply)
-    r = apply_counterpart(ctx, "consp", [GVar("v")])
+    r = apply_counterpart(ctx, "consp", [esc])
     assert isinstance(r, GApply)
     # and the escapes still evaluate correctly
     from bitblast.lang import base_env

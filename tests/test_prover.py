@@ -17,6 +17,7 @@ from bitblast.prover import (
 )
 from bitblast.reader import read_one_value
 from bitblast.symobj import (
+    ShapeBool,
     g_int,
     parse_shape,
     shape_to_symobj,
@@ -299,6 +300,24 @@ def test_sat_budget_limit_in_structural_mode(defs):
                      ProverOptions(mode="aig", sat_conflict_budget=0))
     assert r.kind == "resource-limit"
     assert r.stage.startswith("sat:")
+
+
+def test_forced_constant_budget_is_a_parametrize_resource_limit(defs):
+    # b is forced true only because the commuted multiplies agree, so
+    # the forced-constant probes must prove that; the vacuity check
+    # answers by simulation and the conclusion is then the constant t
+    spec = _spec("guard", "(and (unsigned-byte-p 3 x) (unsigned-byte-p 3 y)"
+                 " (booleanp b) (if (equal (* x y) (* y x)) b t))", "b",
+                 {"x": g_int(0, 2, 4), "y": g_int(1, 2, 4),
+                  "b": ShapeBool(8)})
+    r = prove_gl_thm(spec, defs, CFG, ProverOptions(mode="aig"))
+    assert r.kind == "proved"
+    used = r.stats["sat_conflicts"]
+    assert used > 0 and r.stats["sweep_candidates"] == 0
+    r = prove_gl_thm(spec, defs, CFG,
+                     ProverOptions(mode="aig", sat_conflict_budget=used - 1))
+    assert r.kind == "resource-limit"
+    assert r.stage == "sat:parametrize"
 
 
 def test_witness_blowup_is_a_counterexample_resource_limit(defs,

@@ -14,7 +14,6 @@ from bitblast.symobj import (
     GBoolean,
     GIte,
     GNumber,
-    GVar,
     ProductCons,
     SignedInt,
     bits_to_int,
@@ -79,11 +78,14 @@ def test_cons_object_evaluation(eng):
     assert values_equal(v, Cons(1, NIL))
 
 
-def test_gvar_and_gapply_evaluation(eng):
-    obj = GApply("+", (GVar("x"), Concrete(2)))
-    assert sym_eval(obj, {}, eng, venv={"x": 3}) == 5
+def test_gapply_evaluation(eng):
+    # an escape evaluates its arguments, nested escapes included
+    x = GNumber((eng.var(0), eng.var(1), eng.false))
+    obj = GApply("+", (GApply("binary-*", (x, Concrete(2))), Concrete(2)))
+    assert sym_eval(obj, {0: True, 1: True}, eng) == 8
+    assert sym_eval(obj, {0: True, 1: False}, eng) == 4
     with pytest.raises(EvalError):
-        sym_eval(GVar("x"), {}, eng)
+        sym_eval(GApply("no-such-function", (x,)), {0: True, 1: True}, eng)
 
 
 def test_nil_possibility(eng):
@@ -99,7 +101,8 @@ def test_nil_possibility(eng):
     with pytest.raises(IndeterminateError):
         nil_possibility(GApply("f", (Concrete(1),)), eng)
     with pytest.raises(IndeterminateError):
-        nil_possibility(GVar("x"), eng)
+        nil_possibility(GIte(GBoolean(A), Concrete(1),
+                             GApply("f", (Concrete(1),))), eng)
 
 
 def test_nil_possibility_constant_test_skips_branch(eng):
