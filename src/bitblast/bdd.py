@@ -265,7 +265,10 @@ class BddStore:
                 memo[n] = r
             return r
 
-        return rec(f)
+        try:
+            return rec(f)
+        finally:
+            rec = None  # rec's cell refers to rec: free the store with its proof
 
     def parametrize(self, constraint, indices):
         """A substitution whose image over all environments is exactly
@@ -316,7 +319,10 @@ class BddStore:
             memo[key] = res
             return res
 
-        return dict(rec(constraint, 0))
+        try:
+            return dict(rec(constraint, 0))
+        finally:
+            rec = None  # as in compose
 
     def check_invariants(self):
         """Walk the store asserting ordering and reducedness; test hook."""

@@ -10,6 +10,8 @@ against the hypothesis runs after the symbolic phase.
 """
 
 from dataclasses import KW_ONLY, dataclass, field, fields
+from fractions import Fraction
+from itertools import count
 
 from .concrete import eval_concrete
 from .engine import make_engine
@@ -40,16 +42,23 @@ from .symobj import (
     map_symobj_exprs,
     nil_possibility,
     render_symobj,
-    shape_coverage_descriptor,
+    shape_contains,
     shape_indices,
+    shape_int_intervals,
     shape_to_symobj,
+    shape_witness_outside,
     sym_eval,
     truth_expr,
-    descriptor_contains,
-    descriptor_int_intervals,
-    descriptor_witness_outside,
 )
-from .values import NIL, T, is_integer, is_number, print_value, values_equal
+from .values import (
+    NIL,
+    T,
+    Symbol,
+    is_integer,
+    is_number,
+    list_elements,
+    print_value,
+)
 
 
 @dataclass
@@ -222,20 +231,37 @@ def _ground_value(term, defs):
 
 
 class _Requirement:
-    """Accumulated recognized constraints on one theorem variable."""
+    """The recognized conjuncts on one theorem variable, and what they
+    say: the first finite set of values they allow, and their bounds,
+    as given and tightened to integers."""
 
-    def __init__(self):
-        self.has_int = False
-        self.lo = None
-        self.hi = None
-        self.boolish = False
-        self.sets = []
+    def __init__(self, var):
+        self.var = var
+        self.terms = []
+        self.values = None
+        self.lo = self.hi = None  # integer bounds
+        self.bottom = self.top = None  # rational bounds
 
-    def add_lo(self, v):
-        self.lo = v if self.lo is None else max(self.lo, v)
+    def add_lo(self, c, strict=False):
+        n = _floor_int(c) + 1 if strict else _ceil_int(c)
+        self.lo = n if self.lo is None else max(self.lo, n)
+        self.bottom = c if self.bottom is None else max(self.bottom, c)
 
-    def add_hi(self, v):
-        self.hi = v if self.hi is None else min(self.hi, v)
+    def add_hi(self, c, strict=False):
+        n = _ceil_int(c) - 1 if strict else _floor_int(c)
+        self.hi = n if self.hi is None else min(self.hi, n)
+        self.top = c if self.top is None else min(self.top, c)
+
+    def admits(self, value, defs):
+        """Do the recognized conjuncts hold at `value`?  One that fails
+        to evaluate keeps the value."""
+        for term in self.terms:
+            try:
+                if eval_concrete(term, {self.var: value}, defs, 100_000) is NIL:
+                    return False
+            except Exception:
+                pass
+        return True
 
 
 def _ceil_int(x):
@@ -246,135 +272,112 @@ def _floor_int(x):
     return x if is_integer(x) else x.__floor__()
 
 
-def _absorb(req, term, var, defs):
-    """Fold one recognized conjunct into the requirement; unrecognized
-    conjuncts are dropped, which only enlarges the set the bindings
-    must cover."""
-    if isinstance(term, Call):
-        fn, args = term.fn, term.args
-        if fn == "integerp" and len(args) == 1:
-            req.has_int = True
-            return
-        if fn in ("natp", "posp") and len(args) == 1:
-            req.has_int = True
+def _absorb(req, term, defs):
+    """Fold one conjunct into the requirement and say whether it was
+    recognized.  Unrecognized conjuncts are dropped, which only enlarges
+    the set the bindings must cover."""
+    if not isinstance(term, Call):
+        return False
+    fn, args = term.fn, term.args
+    is_var = lambda a: isinstance(a, Var) and a.name == req.var
+    if len(args) == 1 and is_var(args[0]):
+        if fn in ("natp", "posp"):
             req.add_lo(0 if fn == "natp" else 1)
-            return
-        if fn == "booleanp" and len(args) == 1:
-            req.boolish = True
-            return
-        if fn in ("unsigned-byte-p", "signed-byte-p") and len(args) == 2:
-            k = _ground_value(args[0], defs)
-            if is_integer(k) and k >= (0 if fn == "unsigned-byte-p" else 1):
-                req.has_int = True
-                if fn == "unsigned-byte-p":
-                    req.add_lo(0)
-                    req.add_hi((1 << k) - 1)
-                else:
-                    req.add_lo(-(1 << (k - 1)))
-                    req.add_hi((1 << (k - 1)) - 1)
-            return
-        if fn == "equal" and len(args) == 2:
-            for a, b in ((args[0], args[1]), (args[1], args[0])):
-                if isinstance(a, Var) and a.name == var:
-                    c = _ground_value(b, defs)
-                    if c is not None:
-                        req.sets.append([c])
-                    return
-            return
-        if fn == "member" and len(args) == 2 and isinstance(args[0], Var):
-            lst = _ground_value(args[1], defs)
-            if lst is not None:
-                from .values import list_elements
-                items, tail = list_elements(lst)
-                if tail is NIL:
-                    req.sets.append(items)
-            return
-        if fn == "<" and len(args) == 2:
-            if isinstance(args[0], Var) and args[0].name == var:
-                c = _ground_value(args[1], defs)
-                if is_number(c):
-                    req.add_hi(_ceil_int(c) - 1)
-            elif isinstance(args[1], Var) and args[1].name == var:
-                c = _ground_value(args[0], defs)
-                if is_number(c):
-                    req.add_lo(_floor_int(c) + 1)
-            return
-        if fn == "not" and len(args) == 1 and isinstance(args[0], Call) \
-                and args[0].fn == "<" and len(args[0].args) == 2:
-            a, b = args[0].args
-            if isinstance(a, Var) and a.name == var:
-                c = _ground_value(b, defs)
-                if is_number(c):
-                    req.add_lo(_ceil_int(c))
-            elif isinstance(b, Var) and b.name == var:
-                c = _ground_value(a, defs)
-                if is_number(c):
-                    req.add_hi(_floor_int(c))
-            return
+        return fn in ("integerp", "natp", "posp", "booleanp")
+    if fn in ("unsigned-byte-p", "signed-byte-p") and len(args) == 2 \
+            and is_var(args[1]):
+        k = _ground_value(args[0], defs)
+        if not is_integer(k) or k < (0 if fn == "unsigned-byte-p" else 1):
+            return False
+        lo = 0 if fn == "unsigned-byte-p" else -(1 << (k - 1))
+        req.add_lo(lo)
+        req.add_hi(lo + (1 << k) - 1)
+        return True
+    if fn in ("equal", "member") and len(args) == 2 \
+            and (is_var(args[0]) or fn == "equal" and is_var(args[1])):
+        c = _ground_value(args[1] if is_var(args[0]) else args[0], defs)
+        if c is None:
+            return False
+        items, tail = ([c], NIL) if fn == "equal" else list_elements(c)
+        if tail is not NIL:
+            return False
+        if req.values is None:
+            req.values = items
+        return True
+    negated = (fn == "not" and len(args) == 1 and isinstance(args[0], Call)
+               and args[0].fn == "<")
+    if negated:
+        args = args[0].args
+    if (fn == "<" or negated) and len(args) == 2 \
+            and (is_var(args[0]) or is_var(args[1])):
+        c = _ground_value(args[1] if is_var(args[0]) else args[0], defs)
+        if not is_number(c):
+            return False
+        # x < c bounds x above, c < x below; negation flips the side and
+        # makes the bound inclusive
+        add = req.add_hi if is_var(args[0]) != negated else req.add_lo
+        add(c, strict=not negated)
+        return True
+    return False
 
 
-def _merged_intervals(descriptor):
-    spans = sorted(descriptor_int_intervals(descriptor))
-    merged = []
-    for lo, hi in spans:
-        if merged and lo <= merged[-1][1] + 1:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def _int_range_witness(descriptor, lo, hi):
-    """Smallest integer in [lo, hi] (unbounded ends allowed) that the
-    descriptor misses, or None when the whole range is covered."""
-    merged = _merged_intervals(descriptor)
+def _int_range_witness(shape, lo, hi):
+    """The least integer from lo up that the shape misses.  With no lower
+    bound it is one below the shape's integers (and at most hi), and
+    with no bounds at all one above them.  A value past hi is left for
+    the conjuncts' evaluation to reject."""
+    if lo is None and hi is None:
+        return shape_witness_outside(shape)
+    intervals = sorted(shape_int_intervals(shape))
     if lo is None:
-        # the required range reaches below any finite coverage
-        w = merged[0][0] - 1 if merged else 0
-        return w if hi is None else min(w, hi)
-    pos = lo
-    for a, b in merged:
-        if b < pos:
-            continue
-        if a > pos:
-            return pos
-        pos = b + 1
-        if hi is not None and pos > hi:
-            return None
-    if hi is None or pos <= hi:
-        return pos
+        return min(intervals[0][0] - 1 if intervals else 0, hi)
+    for a, b in intervals:
+        if a > lo:
+            break
+        lo = max(lo, b + 1)
+    return lo
+
+
+def _ratio_witness(shape, bottom, top):
+    """A non-integer rational strictly between the bounds (unbounded
+    ends allowed) that the shape misses; when the bounds meet or cross,
+    the lower one, for evaluation to judge.  The shape holds finitely
+    many values, so the search ends."""
+    if bottom is not None and top is not None and bottom >= top:
+        return bottom
+    if bottom is None:
+        bottom = (top if top is not None else 1) - 1
+    if top is None:
+        top = bottom + 1
+    for d in count(2):
+        q = bottom + Fraction(top - bottom, d)
+        if q.denominator != 1 and not shape_contains(shape, q):
+            return q
+
+
+def _other_symbol(shape):
+    """A symbol other than t and nil that the shape misses."""
+    for n in count():
+        sym = Symbol("other-symbol-%d" % n)
+        if not shape_contains(shape, sym):
+            return sym
+
+
+def _requirement_witness(req, shape, defs):
+    """A value the recognized conjuncts admit but the shape misses, or
+    None.  Without a finite set the candidates stand for every value:
+    the recognized conjuncts treat each integer, non-integer rational
+    or other non-number like the candidate of its kind."""
+    if req.values is not None:
+        candidates = req.values
+    else:
+        candidates = (_int_range_witness(shape, req.lo, req.hi),
+                      _ratio_witness(shape, req.bottom, req.top),
+                      T, NIL, _other_symbol(shape))
+    for v in candidates:
+        if not shape_contains(shape, v) and req.admits(v, defs):
+            return v
     return None
-
-
-def _requirement_witness(req, descriptor):
-    """A value the hypothesis admits but the descriptor misses, or None."""
-    if req.sets:
-        values = req.sets[0]
-        for other in req.sets[1:]:
-            values = [v for v in values
-                      if any(values_equal(v, u) for u in other)]
-        if req.boolish:
-            values = [v for v in values if v is T or v is NIL]
-        if req.has_int or req.lo is not None or req.hi is not None:
-            values = [v for v in values if is_integer(v)
-                      and (req.lo is None or v >= req.lo)
-                      and (req.hi is None or v <= req.hi)]
-        for v in values:
-            if not descriptor_contains(descriptor, v):
-                return v
-        return None
-    if req.boolish:
-        if req.has_int:
-            return None  # no value is both boolean and integer
-        for v in (T, NIL):
-            if not descriptor_contains(descriptor, v):
-                return v
-        return None
-    if req.has_int:
-        if req.lo is not None and req.hi is not None and req.lo > req.hi:
-            return None
-        return _int_range_witness(descriptor, req.lo, req.hi)
-    return descriptor_witness_outside(descriptor)
 
 
 def check_coverage(hyp, bindings, defs, do_not_expand=frozenset()):
@@ -383,17 +386,14 @@ def check_coverage(hyp, bindings, defs, do_not_expand=frozenset()):
     Returns None when covered, else (variable, witness value).
     """
     conjuncts = _conjuncts(hyp, defs, frozenset(do_not_expand))
-    reqs = {v: _Requirement() for v in bindings}
+    reqs = {v: _Requirement(v) for v in bindings}
     for c in conjuncts:
         fv = free_vars(c)
-        if len(fv) != 1:
-            continue
-        v = next(iter(fv))
-        if v in reqs:
-            _absorb(reqs[v], c, v, defs)
+        req = reqs.get(next(iter(fv))) if len(fv) == 1 else None
+        if req is not None and _absorb(req, c, defs):
+            req.terms.append(c)
     for v, shape in bindings.items():
-        descriptor = shape_coverage_descriptor(shape)
-        w = _requirement_witness(reqs[v], descriptor)
+        w = _requirement_witness(reqs[v], shape, defs)
         if w is not None:
             return (v, w)
     return None

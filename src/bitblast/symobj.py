@@ -1,4 +1,4 @@
-"""Symbolic objects, shape specs, and coverage descriptors.
+"""Symbolic objects, shape specs, and the values shapes cover.
 
 A symbolic object denotes a set of concrete values: Boolean
 expressions sit in the bit positions of numbers (`GNumber`, lsb first,
@@ -510,124 +510,42 @@ def shape_to_symobj(spec, eng):
     raise TypeError("not a shape spec: %r" % (spec,))
 
 
-# -- coverage descriptors -----------------------------------------------------
+# -- coverage -----------------------------------------------------------------
 
-class SignedInt:
-    """Exactly the integers in [-2^(w-1), 2^(w-1)-1]."""
-
-    __slots__ = ("width",)
-
-    def __init__(self, width):
-        self.width = width
-
-    def __repr__(self):
-        return "SignedInt(%d)" % self.width
-
-
-class BoolRange:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "BoolRange"
-
-
-class FiniteSet:
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    def __repr__(self):
-        return "FiniteSet{%s}" % ", ".join(print_value(v) for v in self.values)
-
-
-class ProductCons:
-    __slots__ = ("car", "cdr")
-
-    def __init__(self, car, cdr):
-        self.car = car
-        self.cdr = cdr
-
-    def __repr__(self):
-        return "ProductCons(%r, %r)" % (self.car, self.cdr)
-
-
-class IteUnion:
-    __slots__ = ("parts",)
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-
-    def __repr__(self):
-        return "IteUnion(%s)" % ", ".join(repr(p) for p in self.parts)
-
-
-def shape_coverage_descriptor(spec):
-    """The computable set-of-representable-values abstraction."""
+def shape_contains(spec, value):
+    """Does some assignment of the shape's variables give `value`?  The
+    indices are distinct, so an if-then-else shape is the union of its
+    branches and a cons shape the product of its fields."""
     if isinstance(spec, ShapeNum):
-        return SignedInt(len(spec.indices))
+        half = 1 << (len(spec.indices) - 1)
+        return is_integer(value) and -half <= value < half
     if isinstance(spec, ShapeBool):
-        return BoolRange()
+        return value is T or value is NIL
     if isinstance(spec, ShapeConcrete):
-        return FiniteSet([spec.value])
+        return values_equal(value, spec.value)
     if isinstance(spec, ShapeCons):
-        return ProductCons(shape_coverage_descriptor(spec.car),
-                           shape_coverage_descriptor(spec.cdr))
+        return (isinstance(value, Cons)
+                and shape_contains(spec.car, value.car)
+                and shape_contains(spec.cdr, value.cdr))
     if isinstance(spec, ShapeIte):
-        parts = [shape_coverage_descriptor(spec.then),
-                 shape_coverage_descriptor(spec.els)]
-        flat = []
-        for p in parts:
-            flat.extend(p.parts if isinstance(p, IteUnion) else [p])
-        if all(isinstance(p, FiniteSet) for p in flat):
-            merged = []
-            for p in flat:
-                for v in p.values:
-                    if not any(values_equal(v, u) for u in merged):
-                        merged.append(v)
-            return FiniteSet(merged)
-        return IteUnion(flat)
+        return shape_contains(spec.then, value) or shape_contains(spec.els, value)
     raise TypeError("not a shape spec: %r" % (spec,))
 
 
-def descriptor_contains(d, value):
-    if isinstance(d, SignedInt):
-        half = 1 << (d.width - 1)
-        return is_integer(value) and -half <= value < half
-    if isinstance(d, BoolRange):
-        return value is T or value is NIL
-    if isinstance(d, FiniteSet):
-        return any(values_equal(value, v) for v in d.values)
-    if isinstance(d, ProductCons):
-        return (isinstance(value, Cons)
-                and descriptor_contains(d.car, value.car)
-                and descriptor_contains(d.cdr, value.cdr))
-    if isinstance(d, IteUnion):
-        return any(descriptor_contains(p, value) for p in d.parts)
-    raise TypeError("not a descriptor: %r" % (d,))
-
-
-def descriptor_int_intervals(d):
-    """Closed integer intervals the descriptor covers (unmerged)."""
-    if isinstance(d, SignedInt):
-        half = 1 << (d.width - 1)
+def shape_int_intervals(spec):
+    """Closed integer intervals the shape covers (unmerged)."""
+    if isinstance(spec, ShapeNum):
+        half = 1 << (len(spec.indices) - 1)
         return [(-half, half - 1)]
-    if isinstance(d, FiniteSet):
-        return [(v, v) for v in d.values if is_integer(v)]
-    if isinstance(d, IteUnion):
-        out = []
-        for p in d.parts:
-            out.extend(descriptor_int_intervals(p))
-        return out
+    if isinstance(spec, ShapeConcrete) and is_integer(spec.value):
+        return [(spec.value, spec.value)]
+    if isinstance(spec, ShapeIte):
+        return shape_int_intervals(spec.then) + shape_int_intervals(spec.els)
     return []
 
 
-def descriptor_witness_outside(d):
-    """A value just outside the descriptor's set."""
-    intervals = descriptor_int_intervals(d)
-    if intervals:
-        return max(hi for _, hi in intervals) + 1
-    n = 0
-    while descriptor_contains(d, n):
-        n += 1
-    return n
+def shape_witness_outside(spec):
+    """The integer just above every integer the shape covers (0 when it
+    covers none)."""
+    intervals = shape_int_intervals(spec)
+    return max(hi for _, hi in intervals) + 1 if intervals else 0

@@ -216,14 +216,17 @@ MODE_CORPUS = [
     ("integer_half.lisp", ["indeterminate"]),
     ("always_equal.lisp", ["proved", "indeterminate"]),
     ("word_mutants.lisp", ["disproved"] * 4),
+    ("coverage_traps.lisp", ["coverage-failed"] * 2),
 ]
 
 
 def _extremes(result):
-    """The zeros/ones counterexamples and indeterminate examples of a
-    theorem result; random draws may differ between the modes."""
+    """The zeros/ones counterexamples, indeterminate examples and
+    coverage witness of a theorem result; random draws may differ
+    between the modes."""
     return ([cx for cx in result.get("counterexamples", ())
-             if cx["policy"] != "random"], result.get("examples"))
+             if cx["policy"] != "random"], result.get("examples"),
+            result.get("witness"))
 
 
 def test_criterion_10_mode_agreement():
@@ -242,6 +245,18 @@ def test_criterion_10_mode_agreement():
                 extremes[mode] = [_extremes(r) for r in results]
             assert verdicts["bdd"] == verdicts["aig"] == expected, name
             assert extremes["bdd"] == extremes["aig"], name
+
+
+def test_coverage_traps_fail_with_admitted_witnesses():
+    # each witness satisfies its theorem's hypothesis, and the binding
+    # (a 3-bit signed number) misses it
+    for mode in ("bdd", "aig"):
+        report = run_file(str(CORPUS / "coverage_traps.lisp"), mode=mode,
+                          keep_going=True, seed=5)
+        assert report.exit_status == 2, mode
+        witnesses = [e.result["witness"]["text"] for e in report.events
+                     if e.kind == "theorem"]
+        assert witnesses == ["a", "-5"], mode
 
 
 def test_aig_proofs_run_on_one_solver_each(monkeypatch):

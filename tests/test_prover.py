@@ -1,8 +1,12 @@
+import itertools
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
 import bitblast.prover as prover
+from bitblast.concrete import eval_concrete
 from bitblast.engine import AigEngine, BddEngine
 from bitblast.errors import EvalError
 from bitblast.interp import InterpConfig
@@ -18,8 +22,13 @@ from bitblast.prover import (
 from bitblast.reader import read_one_value
 from bitblast.symobj import (
     ShapeBool,
+    ShapeConcrete,
+    ShapeCons,
+    ShapeIte,
+    ShapeNum,
     g_int,
     parse_shape,
+    shape_contains,
     shape_to_symobj,
     sym_eval,
 )
@@ -114,6 +123,117 @@ def test_coverage_signed_and_lower_bound(defs):
     failed = check_coverage(term("(and (integerp x) (< x 0))"),
                             {"x": g_int(0, 1, 8)}, defs)
     assert failed == ("x", -129)
+
+
+def test_coverage_bound_keeps_non_numbers(defs):
+    # (< 'a 5) is (< 0 5), true: a bound alone does not make x an integer
+    for hyp in ("(and (member x '(a 1 2)) (< x 5))",
+                "(and (member x '(a 1 2)) (not (< x 0)))"):
+        failed = check_coverage(term(hyp), {"x": g_int(0, 1, 3)}, defs)
+        assert failed == ("x", Symbol("a")), hyp
+    # (< 0 'a) is false, so here the bound does rule a out
+    ok = check_coverage(term("(and (member x '(a 1 2)) (< 0 x))"),
+                        {"x": g_int(0, 1, 3)}, defs)
+    assert ok is None
+
+
+def test_coverage_witness_is_admitted(defs):
+    failed = check_coverage(term("(< x 3)"), {"x": g_int(0, 1, 3)}, defs)
+    assert failed == ("x", -5)  # not 4, which (< x 3) rejects
+    # every integer in (-1, 2) is covered; a non-integer between is not
+    failed = check_coverage(term("(and (< -1 x) (< x 2))"),
+                            {"x": g_int(0, 1, 3)}, defs)
+    assert failed == ("x", Fraction(1, 2))
+    halves = parse_shape(read_one_value(
+        "(:g-ite (:g-boolean . 0) 1/2 . (:g-number (1 2 3)))"))
+    failed = check_coverage(term("(and (< -1 x) (< x 2))"), {"x": halves},
+                            defs)
+    assert failed[0] == "x" and failed[1] not in (Fraction(1, 2), 0, 1)
+    assert -1 < failed[1] < 2
+    # x = 0 exactly admits 0 and every non-number: t and nil are covered
+    bools = parse_shape(read_one_value(
+        "(:g-ite (:g-boolean . 0) (:g-boolean . 1) . 0)"))
+    failed = check_coverage(term("(and (<= 0 x) (<= x 0))"), {"x": bools},
+                            defs)
+    assert failed[0] == "x" and isinstance(failed[1], Symbol)
+    assert failed[1] not in (T, NIL)
+
+
+def test_coverage_recognizes_tests_of_the_variable_only(defs):
+    # (unsigned-byte-p 8 (- x 1)) bounds x - 1, not x: x = 256 is admitted
+    failed = check_coverage(term("(unsigned-byte-p 8 (- x 1))"),
+                            {"x": g_int(0, 1, 9)}, defs)
+    assert failed == ("x", 256)
+    # (integerp (+ x 1)) holds for every x
+    failed = check_coverage(term("(and (integerp (+ x 1)) (< -4 x) (< x 4))"),
+                            {"x": g_int(0, 1, 3)}, defs)
+    assert failed[0] == "x" and not isinstance(failed[1], int)
+
+
+# Random single-variable coverage questions, answered by enumerating a
+# universe that holds a representative of every kind of value the
+# recognized conjuncts tell apart: shapes are at most 3 bits wide and
+# constants at most 8 in magnitude, so integers in [-32, 32] and the
+# half-integers between them, the constants, and one symbol no case
+# mentions.
+_CONSTANTS = [str(i) for i in range(-6, 7)] + [
+    "a", "b", "t", "nil", "(1 . 2)", "(a . t)"]
+_UNIVERSE = (list(range(-32, 33))
+             + [Fraction(2 * i + 1, 2) for i in range(-32, 32)]
+             + [read_one_value(c) for c in _CONSTANTS[13:]]
+             + [Symbol("fresh")])
+
+
+def _random_shape(rng, fresh, depth=2):
+    kinds = ("num", "num", "bool", "const") + (("ite", "cons") if depth else ())
+    kind = rng.choice(kinds)
+    if kind == "num":
+        return ShapeNum([next(fresh) for _ in range(rng.randint(1, 3))])
+    if kind == "bool":
+        return ShapeBool(next(fresh))
+    if kind == "const":
+        return ShapeConcrete(read_one_value(rng.choice(_CONSTANTS)))
+    if kind == "ite":
+        return ShapeIte(ShapeBool(next(fresh)),
+                        _random_shape(rng, fresh, depth - 1),
+                        _random_shape(rng, fresh, depth - 1))
+    return ShapeCons(_random_shape(rng, fresh, depth - 1),
+                     _random_shape(rng, fresh, depth - 1))
+
+
+def _random_conjunct(rng):
+    c, k = rng.randint(-6, 6), rng.randint(0, 3)
+    return rng.choice((
+        "(integerp x)", "(natp x)", "(posp x)", "(booleanp x)",
+        "(unsigned-byte-p %d x)" % k, "(signed-byte-p %d x)" % (k + 1),
+        "(equal x '%s)" % rng.choice(_CONSTANTS),
+        "(equal '%s x)" % rng.choice(_CONSTANTS),
+        "(member x '(%s))" % " ".join(rng.sample(_CONSTANTS,
+                                                 rng.randint(1, 4))),
+        "(< x %d)" % c, "(< %d x)" % c, "(not (< x %d))" % c,
+        "(not (< %d x))" % c, "(<= %d x)" % c, "(> x %d)" % c,
+    ))
+
+
+def test_coverage_agrees_with_enumeration(defs):
+    rng = random.Random(11)
+    outcomes = {True: 0, False: 0}
+    for case in range(1000):
+        shape = _random_shape(rng, itertools.count())
+        src = "(and %s)" % " ".join(_random_conjunct(rng)
+                                    for _ in range(rng.randint(1, 3)))
+        hyp = term(src)
+        missed = [u for u in _UNIVERSE
+                  if eval_concrete(hyp, {"x": u}, defs) is not NIL
+                  and not shape_contains(shape, u)]
+        failed = check_coverage(hyp, {"x": shape}, defs)
+        assert (failed is None) == (not missed), (case, src, shape, missed)
+        outcomes[failed is None] += 1
+        if failed is not None:
+            assert eval_concrete(hyp, {"x": failed[1]}, defs) is not NIL, \
+                (case, src, shape, failed)
+            assert not shape_contains(shape, failed[1]), (case, src, shape)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 # -- parametrization ----------------------------------------------------------

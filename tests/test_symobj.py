@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,28 +7,24 @@ from bitblast.engine import AigEngine, BddEngine
 from bitblast.errors import EvalError, IndeterminateError, ShapeError
 from bitblast.reader import read_one_value
 from bitblast.symobj import (
-    BoolRange,
     Concrete,
     ConsObj,
-    FiniteSet,
     GApply,
     GBoolean,
     GIte,
     GNumber,
-    ProductCons,
-    SignedInt,
     bits_to_int,
     cons_obj,
-    descriptor_contains,
-    descriptor_witness_outside,
     g_int,
     int_to_bits,
     merge_ite,
     nil_possibility,
     parse_shape,
-    shape_coverage_descriptor,
+    shape_contains,
     shape_indices,
+    shape_int_intervals,
     shape_to_symobj,
+    shape_witness_outside,
     sym_eval,
 )
 from bitblast.values import NIL, T, Char, Cons, Symbol, values_equal
@@ -232,64 +229,71 @@ def test_shape_indices_collects_everything():
     assert sorted(shape_indices(spec)) == [0, 1, 2, 3, 7]
 
 
-# -- coverage descriptors -----------------------------------------------------
+# -- the values shapes cover --------------------------------------------------
 
-def test_descriptors():
-    d = shape_coverage_descriptor(g_int(0, 1, 33))
-    assert isinstance(d, SignedInt) and d.width == 33
-    assert descriptor_contains(d, (1 << 32) - 1)
-    assert descriptor_contains(d, -(1 << 32))
-    assert not descriptor_contains(d, 1 << 32)
-    d = shape_coverage_descriptor(g_int(0, 1, 32))
-    assert not descriptor_contains(d, 1 << 31)
-    assert descriptor_witness_outside(d) == 1 << 31
-    d = shape_coverage_descriptor(parse_shape(read_one_value(
-        "(:g-ite (:g-boolean . 11) exact . fast)")))
-    assert isinstance(d, FiniteSet)
-    assert descriptor_contains(d, Symbol("exact"))
-    assert descriptor_contains(d, Symbol("fast"))
-    assert not descriptor_contains(d, Symbol("slow"))
-    d = shape_coverage_descriptor(parse_shape(read_one_value("(:g-boolean . 0)")))
-    assert isinstance(d, BoolRange)
-    assert descriptor_contains(d, T) and descriptor_contains(d, NIL)
-    assert not descriptor_contains(d, 0)
-    d = shape_coverage_descriptor(parse_shape(read_one_value(
-        "((:g-number (0 1)) . (:g-boolean . 2))")))
-    assert isinstance(d, ProductCons)
-    assert descriptor_contains(d, Cons(1, T))
-    assert not descriptor_contains(d, Cons(2, T))
-    assert not descriptor_contains(d, 5)
+def test_shape_contains_intervals_and_outside():
+    spec = g_int(0, 1, 33)
+    assert shape_int_intervals(spec) == [(-(1 << 32), (1 << 32) - 1)]
+    assert shape_contains(spec, (1 << 32) - 1)
+    assert shape_contains(spec, -(1 << 32))
+    assert not shape_contains(spec, 1 << 32)
+    spec = g_int(0, 1, 32)
+    assert not shape_contains(spec, 1 << 31)
+    assert shape_witness_outside(spec) == 1 << 31
+    spec = parse_shape(read_one_value("(:g-ite (:g-boolean . 11) exact . fast)"))
+    assert shape_contains(spec, Symbol("exact"))
+    assert shape_contains(spec, Symbol("fast"))
+    assert not shape_contains(spec, Symbol("slow"))
+    assert shape_int_intervals(spec) == [] and shape_witness_outside(spec) == 0
+    spec = parse_shape(read_one_value("(:g-boolean . 0)"))
+    assert shape_contains(spec, T) and shape_contains(spec, NIL)
+    assert not shape_contains(spec, 0)
+    spec = parse_shape(read_one_value("((:g-number (0 1)) . (:g-boolean . 2))"))
+    assert shape_contains(spec, Cons(1, T))
+    assert not shape_contains(spec, Cons(2, T))
+    assert not shape_contains(spec, 5)
+    # an if-then-else shape is the union of its branches
+    spec = parse_shape(read_one_value(
+        "(:g-ite (:g-boolean . 0) (:g-number (1 2)) . 9)"))
+    assert shape_int_intervals(spec) == [(-2, 1), (9, 9)]
+    assert shape_contains(spec, -2) and shape_contains(spec, 9)
+    assert not shape_contains(spec, 2) and not shape_contains(spec, 8)
+    assert shape_witness_outside(spec) == 10
 
 
 def test_evaluation_homomorphism(eng):
-    # every evaluation lands in the descriptor set, and for small widths
-    # every descriptor element is attained
+    # every evaluation lands in the shape's set, and every element of the
+    # set is attained: over a universe of the attained values and their
+    # neighbours, shape_contains is exactly attainment
     specs = [
         g_int(0, 1, 4),
         parse_shape(read_one_value("(:g-boolean . 0)")),
         parse_shape(read_one_value("(:g-ite (:g-boolean . 3) exact . fast)")),
         parse_shape(read_one_value("((:g-number (0 1 2)) . (:g-boolean . 3))")),
         parse_shape(read_one_value("#b0010100")),
+        parse_shape(read_one_value(
+            "(:g-ite (:g-boolean . 0) (:g-number (1 2)) . (3 . exact))")),
     ]
+    universe = (list(range(-12, 24)) + [Fraction(1, 2), T, NIL]
+                + [Symbol(n) for n in ("exact", "fast", "slow")]
+                + [Cons(i, b) for i in range(-6, 6)
+                   for b in (T, NIL, Symbol("exact"))])
     for spec in specs:
-        d = shape_coverage_descriptor(spec)
         obj = shape_to_symobj(spec, eng)
         idxs = shape_indices(spec)
         nvars = max(idxs) + 1 if idxs else 0
         attained = []
         for env in all_envs(nvars):
             v = sym_eval(obj, env, eng)
-            assert descriptor_contains(d, v)
+            assert shape_contains(spec, v)
             if not any(values_equal(v, u) for u in attained):
                 attained.append(v)
-        if isinstance(d, SignedInt):
-            lo, hi = -(1 << (d.width - 1)), (1 << (d.width - 1)) - 1
-            assert sorted(attained) == list(range(lo, hi + 1))
-        elif isinstance(d, (FiniteSet, BoolRange)):
-            want = d.values if isinstance(d, FiniteSet) else (T, NIL)
-            assert len(attained) == len(want)
-            for u in want:
-                assert any(values_equal(u, v) for v in attained)
+        for u in universe:
+            assert shape_contains(spec, u) == any(values_equal(u, v)
+                                                  for v in attained), (spec, u)
+        for lo, hi in shape_int_intervals(spec):
+            for n in range(lo, hi + 1):
+                assert any(values_equal(n, v) for v in attained), (spec, n)
 
 
 def test_cons_obj_guards_reserved_tags():
