@@ -67,7 +67,7 @@ class AigStore:
     @property
     def store(self):
         # perfbench/hooks.py wraps methods through `eng.store`; this goes
-        # when the hooks read counters instead (ROADMAP item 6)
+        # when the hooks read counters instead (ROADMAP item 2, step c)
         return self
 
     @property

@@ -102,7 +102,7 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
     current_mode = mode
     saw = set()
     for ev in events:
-        entry = None
+        start = time.perf_counter()
         if isinstance(ev, DefunEvent):
             defs.define(ev.name, ev.formals, ev.body)
             entry = EventReport(name=ev.name, kind="defun",
@@ -122,7 +122,6 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
                 spec.counterexample_count = counterexamples
             prove = prove_gl_param_thm if isinstance(spec, ParamTheoremSpec) \
                 else prove_gl_thm
-            start = time.perf_counter()
             try:
                 result = prove(spec, defs, cfg, opts)
                 rjson = _result_json(result)
@@ -130,13 +129,10 @@ def run_file(path, mode="bdd", seed=0, trace="off", break_on_g_apply=False,
             except EvalError as e:
                 rjson = {"status": "error", "message": str(e)}
                 stats = {}
-            entry = EventReport(
-                name=spec.name,
-                kind="theorem",
-                result=rjson,
-                wall_time=time.perf_counter() - start,
-                stats=stats)
+            entry = EventReport(name=spec.name, kind="theorem",
+                                result=rjson, stats=stats)
             saw.add(rjson["status"])
+        entry.wall_time = time.perf_counter() - start
         report.events.append(entry)
         if entry.result["status"] in _FAILURE_KINDS and not keep_going:
             break

@@ -16,7 +16,7 @@ from .bdd import BddStore
 
 # The old engine class names.  perfbench/hooks.py resolves
 # bitblast.engine.{BddEngine,AigEngine}.<op>; these go when the hooks
-# read counters instead (ROADMAP item 6).
+# read counters instead (ROADMAP item 2, step c).
 BddEngine = BddStore
 AigEngine = AigStore
 

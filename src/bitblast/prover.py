@@ -36,7 +36,7 @@ from .lang import (
     substitute_constants,
 )
 # no proof calls solve_cnf; perfbench/hooks.py still resolves this name
-# until it reads the proofs' counters instead (ROADMAP item 6)
+# until it reads the proofs' counters instead (ROADMAP item 2, step c)
 from .sat import solve_cnf  # noqa: F401
 from .symobj import (
     map_symobj_exprs,

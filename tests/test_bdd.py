@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -193,4 +194,76 @@ def test_node_budget():
     s = BddStore(node_budget=20)
     with pytest.raises(NodeBudgetExceeded):
         for i in range(40):
+            s.var(i)
+
+
+def _build_until_refused(s, rng, nvars, trials):
+    """Build seeded random formulas over nvars variables; {truth table:
+    set of handles} of those the store built, and how many it refused."""
+    by_tt, refused = {}, 0
+    for _ in range(trials):
+        e = random_formula(rng, nvars, 6)
+        try:
+            node = build_formula(s, e)
+        except NodeBudgetExceeded:
+            refused += 1
+            continue
+        by_tt.setdefault(formula_tt(e, nvars), set()).add(node)
+    return by_tt, refused
+
+
+def _assert_canonical(s, by_tt, nvars):
+    # one handle per function, and that handle computes the function, so
+    # handles are equal exactly when the formulas are
+    for tt, handles in by_tt.items():
+        assert len(handles) == 1, (tt, handles)
+        assert bdd_tt(s, next(iter(handles)), nvars) == tt
+    s.check_invariants()
+
+
+def test_packed_keys_injective_across_field_boundary():
+    # budget 40 gives 6-bit key fields; ids 32..40 set their top bit
+    rng = random.Random(2024)
+    s = BddStore(node_budget=40)
+    by_tt, refused = _build_until_refused(s, rng, 4, 300)
+    assert refused > 0 and s.num_nodes == 41
+    _assert_canonical(s, by_tt, 4)
+    # every operation over every node of the full store: a key packed
+    # into too narrow a field meets the key it collides with here
+    full = (1 << 16) - 1
+    tts = {n: bdd_tt(s, n, 4) for n in range(s.num_nodes)}
+    ops = ((s.and_, int.__and__), (s.or_, int.__or__),
+           (s.xor_, int.__xor__),
+           (s.ite, lambda a, b, c: (a & b) | (~a & full & c)))
+    for op, fn in ops:
+        arity = 3 if op == s.ite else 2
+        for args in itertools.product(tts, repeat=arity):
+            try:
+                r = op(*args)
+            except NodeBudgetExceeded:
+                continue
+            assert tts[r] == fn(*(tts[a] for a in args)), (op, args)
+    s.check_invariants()
+
+
+def test_packed_keys_wide_fields():
+    # a budget past 2**40 gives 41-bit fields and three-digit keys
+    rng = random.Random(2025)
+    s = BddStore(node_budget=2 ** 40)
+    by_tt, refused = _build_until_refused(s, rng, 7, 300)
+    assert refused == 0
+    _assert_canonical(s, by_tt, 7)
+
+
+def test_raised_budget_cannot_overflow_key_fields():
+    # the field width is fixed at construction: budget 100 -> 7 bits, so
+    # node 128 is refused however far the budget is raised
+    rng = random.Random(2026)
+    s = BddStore(node_budget=100)
+    s.node_budget = 10 ** 9
+    by_tt, refused = _build_until_refused(s, rng, 7, 300)
+    assert refused > 0 and s.num_nodes == 128
+    _assert_canonical(s, by_tt, 7)
+    with pytest.raises(NodeBudgetExceeded):
+        for i in range(200):
             s.var(i)

@@ -120,6 +120,18 @@ def test_json_report_round_trips(corpus):
     assert thm["wall_time"] >= 0 and thm["steps"] > 0 and thm["nodes"] > 0
 
 
+def test_directive_reports_its_time(corpus):
+    # set-preferred-def vets its replacement on sampled inputs; that
+    # time belongs to the directive, not to the theorem after it
+    report = run_file(str(corpus / "evenp_preferred.lisp"))
+    directive, theorem = report.events
+    assert directive.kind == "directive"
+    assert directive.name == "set-preferred-def evenp"
+    assert directive.wall_time > 0 and theorem.wall_time > 0
+    doc = json.loads(render_report_json(report))
+    assert doc["events"][0]["wall_time"] == directive.wall_time
+
+
 def test_mode_flag_and_directives(tmp_path):
     f = tmp_path / "mode.lisp"
     f.write_text("""
