@@ -39,6 +39,18 @@ SWEEP_STATS = ("sat_calls", "sat_conflicts", "sweep_candidates",
                "sweep_merges", "sweep_refuted")
 
 
+def witness_preference(policy, indices, seed=0):
+    """{index: preferred value} over `indices` in increasing order: all
+    false for zeros, all true for ones, one seeded coin flip per index
+    for random; ValueError for another policy.  Both stores' `witness`
+    give the lexicographic extreme towards it."""
+    if policy not in ("zeros", "ones", "random"):
+        raise ValueError("unknown witness policy %r" % (policy,))
+    rng = random.Random(seed)
+    return {i: rng.random() < 0.5 if policy == "random"
+            else policy == "ones" for i in sorted(set(indices))}
+
+
 class AigStore:
     """One AIG universe; single-threaded, never share handles across stores.
 
@@ -271,26 +283,6 @@ class Cnf:
         return "\n".join(lines) + "\n"
 
 
-def parse_dimacs(text):
-    """Read DIMACS text into (num_vars, clauses)."""
-    num_vars = 0
-    clauses = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("c"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            num_vars = int(parts[2])
-            continue
-        lits = [int(tok) for tok in line.split()]
-        if lits and lits[-1] == 0:
-            lits = lits[:-1]
-        if lits:
-            clauses.append(lits)
-    return num_vars, clauses
-
-
 def forced_constants(store, constraint, indices):
     """{index: polarity} for each index in `indices` that every
     assignment making the constraint true gives the same value; indices
@@ -505,25 +497,17 @@ class SatSweep:
     def witness(self, root, policy, indices=(), seed=0, conflict_budget=None):
         """An assignment making root true, or None when there is none.
 
-        It assigns root's input variables and every index in `indices`.
-        zeros gives the lexicographically least such assignment
-        (variables read in increasing index order), ones the greatest,
-        and random the lexicographic extreme towards seeded coin flips,
-        one per index in increasing order.  Indices outside root's cone
-        take the policy default, as in BddStore.witness.  One solve
-        under the root assumption with the inputs preferred in index
-        order (Solver.solve's `prefer`) finds it; all its conflicts
-        count against conflict_budget, SatBudgetExceeded once they pass
-        it.
+        It assigns root's input variables and every index in `indices`,
+        and is the lexicographic extreme (variables read in increasing
+        index order) towards witness_preference; indices outside root's
+        cone keep their preferred value.  One solve under the root
+        assumption with the inputs preferred in index order
+        (Solver.solve's `prefer`) finds it; all its conflicts count
+        against conflict_budget, SatBudgetExceeded once they pass it.
         """
-        if policy not in ("zeros", "ones", "random"):
-            raise ValueError("unknown witness policy %r" % (policy,))
         cone = self.store._inputs(root)
+        want = witness_preference(policy, cone.keys() | set(indices), seed)
         self._lit(root)  # encode the cone, giving each input a variable
-        rng = random.Random(seed)
-        want = {i: rng.random() < 0.5 if policy == "random"
-                else policy == "ones"
-                for i in sorted(cone.keys() | set(indices))}
         prefer = [2 * self._var[cone[i]] + (not b)
                   for i, b in want.items() if i in cone]
         self._left = conflict_budget

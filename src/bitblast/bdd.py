@@ -28,9 +28,7 @@ bytes per node under tracemalloc, against 393 with tuple keys, and a
 RSS per node, against 326.
 """
 
-import random
-
-from .aig import SWEEP_STATS
+from .aig import SWEEP_STATS, witness_preference
 from .errors import (
     MissingAssignment,
     NodeBudgetExceeded,
@@ -217,56 +215,32 @@ class BddStore:
 
     def support(self, f):
         out = set()
-        seen = set()
+        seen = bytearray(len(self._var))
         stack = [f]
         while stack:
             n = stack.pop()
-            if n <= TRUE or n in seen:
+            if n <= TRUE or seen[n]:
                 continue
-            seen.add(n)
+            seen[n] = 1
             out.add(self._var[n])
             stack.append(self._hi[n])
             stack.append(self._lo[n])
         return frozenset(out)
 
     def witness(self, f, policy, indices=(), seed=0):
-        """A satisfying environment, or None iff f is FALSE.
-
-        zeros picks the lexicographically least satisfying assignment
-        (variables read in increasing index order), ones the greatest;
-        random makes seeded choices.  Every index in `indices` is
-        assigned, using the policy default where the function does not
-        force a value.
+        """A satisfying environment over f's variables and `indices`,
+        or None iff f is FALSE: the lexicographic extreme (variables
+        read in increasing index order) towards aig.witness_preference.
+        One walk from the root takes the preferred child unless that
+        child is FALSE; every variable off the path keeps its preference.
         """
+        env = witness_preference(policy, self.support(f) | set(indices), seed)
         if f == FALSE:
             return None
-        rng = random.Random(seed) if policy == "random" else None
-        env = {}
-        n = f
-        while n > TRUE:
-            v, hi, lo = self._var[n], self._hi[n], self._lo[n]
-            if policy == "zeros":
-                take_hi = lo == FALSE
-            elif policy == "ones":
-                take_hi = hi != FALSE
-            elif policy == "random":
-                if lo == FALSE:
-                    take_hi = True
-                elif hi == FALSE:
-                    take_hi = False
-                else:
-                    take_hi = rng.random() < 0.5
-            else:
-                raise ValueError("unknown witness policy %r" % (policy,))
-            env[v] = take_hi
-            n = hi if take_hi else lo
-        for v in sorted(set(indices) - env.keys()):
-            if policy == "zeros":
-                env[v] = False
-            elif policy == "ones":
-                env[v] = True
-            else:
-                env[v] = rng.random() < 0.5
+        while f > TRUE:
+            v = self._var[f]
+            env[v] = self._hi[f] != FALSE if env[v] else self._lo[f] == FALSE
+            f = self._hi[f] if env[v] else self._lo[f]
         return env
 
     def compose(self, f, sigma):

@@ -12,7 +12,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .aig import DEFAULT_SAT_CONFLICT_BUDGET, parse_dimacs
+from .aig import DEFAULT_SAT_CONFLICT_BUDGET
 from .errors import EvalError, FileFormatError, ReadError
 from .interp import InterpConfig, allow_concrete_exec, register_preferred_def
 from .lang import base_env
@@ -22,7 +22,7 @@ from .prover import (
     prove_gl_param_thm,
     prove_gl_thm,
 )
-from .sat import SAT, UNSAT, solve_cnf
+from .sat import SAT, UNSAT, parse_dimacs, solve_cnf
 from .toplevel import DefunEvent, DirectiveEvent, parse_events
 from .values import is_integer, print_value
 
@@ -269,7 +269,8 @@ def build_arg_parser():
 
 
 def _solve_dimacs(path, budget, out):
-    with open(path, "r", encoding="utf-8") as handle:
+    # undecodable bytes become U+FFFD, so they fail as a bad token
+    with open(path, "r", encoding="utf-8", errors="replace") as handle:
         num_vars, clauses = parse_dimacs(handle.read())
     kind, model = solve_cnf(num_vars, clauses, conflict_budget=budget)
     if kind is SAT:
@@ -287,15 +288,15 @@ def _solve_dimacs(path, budget, out):
 def main(argv=None, out=sys.stdout, err=sys.stderr):
     sys.setrecursionlimit(100_000)
     args = build_arg_parser().parse_args(argv)
-    if args.solve_dimacs:
-        return _solve_dimacs(args.solve_dimacs, args.sat_conflicts, out)
-    if not args.file:
-        print("error: a theorem file is required", file=err)
-        return 3
-    if args.counterexamples is not None and args.counterexamples < 1:
-        print("error: --counterexamples wants a positive count", file=err)
-        return 3
     try:
+        if args.solve_dimacs:
+            return _solve_dimacs(args.solve_dimacs, args.sat_conflicts, out)
+        if not args.file:
+            print("error: a theorem file is required", file=err)
+            return 3
+        if args.counterexamples is not None and args.counterexamples < 1:
+            print("error: --counterexamples wants a positive count", file=err)
+            return 3
         report = run_file(
             args.file, mode=args.mode, seed=args.seed, trace=args.trace,
             break_on_g_apply=args.break_on_g_apply, max_steps=args.max_steps,

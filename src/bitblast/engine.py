@@ -7,8 +7,9 @@ themselves: `mode`, `true`/`false`, `const`, `var`, `not_`, `and_`,
 BDD store decides validity by node identity and reads witnesses off a
 path; the AIG store decides it by simulation and SAT sweeping on one
 incremental solver (aig.SatSweep), and searches witnesses on that same
-solver, one solve per policy.  Both give the same exact zeros and ones
-extremes.  Stores are single-threaded.
+solver, one solve per policy.  For every policy both give the same
+witness: the lexicographic extreme towards aig.witness_preference.
+Stores are single-threaded.
 """
 
 from .aig import AigStore

@@ -17,10 +17,13 @@ positive literal 2v and the negative literal 2v + 1, so negation is
 are flat lists indexed by literal code.  One `Solver` answers any
 number of `solve` calls under assumptions; clauses may be added
 between calls, and learnt clauses carry over from call to call.
+`parse_dimacs` and `solve_cnf` serve `bitblast --solve-dimacs`.
 """
 
 import random
 from heapq import heapify, heappop, heappush
+
+from .errors import FileFormatError
 
 SAT = "sat"
 UNSAT = "unsat"
@@ -456,3 +459,36 @@ def solve_cnf(num_vars, clauses, assumptions=(), conflict_budget=None,
         return kind, {v: model[v] for v in range(1, num_vars + 1)}
     return kind, None
 
+
+def parse_dimacs(text):
+    """Read DIMACS text into (num_vars, clauses), one clause per line.
+
+    FileFormatError, naming the line, for a problem line that is not
+    `p cnf VARS CLAUSES`, a token that is not an integer, or a literal
+    (a 0 before the end of the line among them) of no declared variable.
+    """
+    num_vars = 0
+    clauses = []
+    for number, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if not parts or parts[0].startswith("c"):
+            continue
+        try:
+            if parts[0] == "p":
+                counts = [int(tok) for tok in parts[2:]]
+                if len(counts) != 2 or min(counts) < 0 or parts[1] != "cnf":
+                    raise ValueError("problem line wants 'p cnf VARS CLAUSES'")
+                num_vars = counts[0]
+                continue
+            lits = [int(tok) for tok in parts]
+        except ValueError as e:
+            raise FileFormatError("line %d: %s" % (number, e)) from None
+        if lits[-1] == 0:
+            lits.pop()
+        for lit in lits:
+            if not 0 < abs(lit) <= num_vars:
+                raise FileFormatError("line %d: literal %d names no variable "
+                                      "in 1..%d" % (number, lit, num_vars))
+        if lits:
+            clauses.append(lits)
+    return num_vars, clauses

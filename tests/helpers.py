@@ -124,6 +124,21 @@ def env_of_index(k, nvars):
     return {j: bool((k >> j) & 1) for j in range(nvars)}
 
 
+def extreme_witness(tt, nvars, want):
+    """The witness both stores must give for a function with truth
+    table tt over variables 0..nvars-1, read off the table: of the rows
+    tt admits, the one nearest `want` ({index: preferred value}, over
+    the function's support at least), compared index by index in
+    increasing order; indices from nvars up keep their preferred value.
+    None when tt is 0."""
+    rows = [env_of_index(k, nvars) for k in range(1 << nvars) if tt >> k & 1]
+    if not rows:
+        return None
+    best = min(rows, key=lambda row: [row[i] != b for i, b in want.items()
+                                      if i < nvars])
+    return {i: best[i] if i < nvars else b for i, b in want.items()}
+
+
 def clauses_tt(clauses, nvars):
     """Truth table bitmask of a CNF over vars 1..nvars."""
     full = (1 << (1 << nvars)) - 1

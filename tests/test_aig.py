@@ -4,18 +4,19 @@ from pathlib import Path
 import pytest
 
 from bitblast.aig import (
-    FALSE, SWEEP_STATS, TRUE, AigStore, forced_constants, parse_dimacs,
+    FALSE, SWEEP_STATS, TRUE, AigStore, forced_constants, witness_preference,
 )
 from bitblast.bdd import BddStore
 from bitblast.engine import AigEngine
 from bitblast.errors import NodeBudgetExceeded, SatBudgetExceeded, UnsatConstraint
-from bitblast.sat import SAT, UNSAT, solve_cnf
+from bitblast.sat import SAT, UNSAT, parse_dimacs, solve_cnf
 
 from helpers import (
     aig_tt,
     all_envs,
     build_formula,
     clauses_tt,
+    extreme_witness,
     formula_tt,
     random_formula,
     var_mask,
@@ -311,19 +312,15 @@ def test_sweep_agrees_with_exhaustive_evaluation():
     assert totals["sat_calls"] > 0 and totals["sat_conflicts"] > 0
 
 
-def _expected_witness(s, node, nvars, policy, indices):
-    """The zeros/ones witness read off the truth table: the first or last
-    satisfying row with variable 0 read first, restricted to node's cone
-    and indices, and the policy default outside the cone."""
-    tt = aig_tt(s, node, nvars)
-    rows = [e for e in all_envs(nvars)
-            if tt >> sum(b << j for j, b in e.items()) & 1]
-    if not rows:
-        return None
-    row = rows[0] if policy == "zeros" else rows[-1]
-    cone = s.support(node)
-    return {i: row[i] if i in cone else policy == "ones"
-            for i in sorted(cone | set(indices))}
+def test_witness_preference():
+    assert witness_preference("zeros", [3, 0, 3]) == {0: False, 3: False}
+    assert witness_preference("ones", {2, 1}) == {1: True, 2: True}
+    rng = random.Random(7)
+    draws = [rng.random() < 0.5 for _ in range(4)]
+    pref = witness_preference("random", [9, 2, 5, 0, 2], seed=7)
+    assert list(pref.items()) == list(zip([0, 2, 5, 9], draws))
+    with pytest.raises(ValueError, match="unknown witness policy"):
+        witness_preference("bogus", [])
 
 
 def test_sweep_witness_is_the_exact_extreme():
@@ -344,10 +341,13 @@ def test_sweep_witness_is_the_exact_extreme():
                 eng.satisfiable(s.xor_(f, g))
                 eng.valid(s.or_(g, cube))
             indices = rng.sample(range(nvars + 3), rng.randrange(0, 4))
-            for policy in ("zeros", "ones"):
-                assert (eng.witness(node, policy, indices)
-                        == _expected_witness(s, node, nvars, policy,
-                                             indices)), (trial, k, policy)
+            tt = aig_tt(s, node, nvars)
+            for policy in ("zeros", "ones", "random"):
+                want = witness_preference(
+                    policy, s.support(node) | set(indices), trial)
+                assert (eng.witness(node, policy, indices, seed=trial)
+                        == extreme_witness(tt, nvars, want)), \
+                    (trial, k, policy)
         if trial % 2:
             for key, n in eng.sat_stats().items():
                 swept[key] += n

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from bitblast.aig import witness_preference
 from bitblast.bdd import FALSE, TRUE, BddStore
 from bitblast.errors import (
     MissingAssignment,
@@ -10,7 +11,14 @@ from bitblast.errors import (
     UnsatConstraint,
 )
 
-from helpers import all_envs, bdd_tt, build_formula, formula_tt, random_formula
+from helpers import (
+    all_envs,
+    bdd_tt,
+    build_formula,
+    extreme_witness,
+    formula_tt,
+    random_formula,
+)
 
 
 def test_var_basics():
@@ -80,14 +88,6 @@ def test_store_invariants_after_random_operations():
     s.check_invariants()
 
 
-def _satisfying_envs(s, node, nvars):
-    out = []
-    for env in all_envs(nvars):
-        if s.eval(node, env):
-            out.append(tuple(env[i] for i in range(nvars)))
-    return out
-
-
 def test_witness_policies():
     s = BddStore()
     b0, b1, b3 = s.var(0), s.var(1), s.var(3)
@@ -99,25 +99,20 @@ def test_witness_policies():
 
 
 def test_witness_extremal_property():
-    # zeros gives the lexicographically least satisfying assignment in
-    # increasing index order; ones the greatest
+    # every policy gives the lexicographic extreme, in increasing index
+    # order, towards witness_preference over the support and indices
     rng = random.Random(23)
     s = BddStore()
     for trial in range(120):
         nvars = rng.randrange(1, 9)
         node = build_formula(s, random_formula(rng, nvars, 5))
-        sats = _satisfying_envs(s, node, nvars)
-        if not sats:
-            assert s.witness(node, "zeros") is None
-            continue
-        wz = s.witness(node, "zeros", indices=range(nvars))
-        wo = s.witness(node, "ones", indices=range(nvars))
-        assert tuple(wz[i] for i in range(nvars)) == min(sats)
-        assert tuple(wo[i] for i in range(nvars)) == max(sats)
-        wr = s.witness(node, "random", indices=range(nvars), seed=trial)
-        assert s.eval(node, wr) is True
-        assert wr == s.witness(node, "random", indices=range(nvars),
-                               seed=trial)  # deterministic
+        tt = bdd_tt(s, node, nvars)
+        indices = rng.sample(range(nvars + 3), rng.randrange(0, nvars + 1))
+        for policy in ("zeros", "ones", "random"):
+            want = witness_preference(policy, s.support(node) | set(indices),
+                                      trial)
+            assert (s.witness(node, policy, indices, seed=trial)
+                    == extreme_witness(tt, nvars, want)), (trial, policy)
 
 
 def test_compose_law_exhaustive():

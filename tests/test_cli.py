@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -212,6 +213,27 @@ def test_solve_dimacs_ignores_the_seed(tmp_path):
     outs = {run_cli(["--solve-dimacs", str(f)] + seed)[1]
             for seed in ([], ["--seed", "9"], ["--seed", "123"])}
     assert outs == {"s SATISFIABLE\nv -1 2 3 0\n"}
+
+
+@pytest.mark.parametrize("text,message", [
+    ("p cnf 2 1\n1 foo 0\n", "parse error: line 2: .*'foo'"),
+    ("p cnf\n1 0\n", "parse error: line 1: problem line wants"),
+    ("p cnf 1 1\n5 0\n", "parse error: line 2: literal 5 names no "
+                           "variable in 1..1"),
+], ids=["bad-token", "short-problem-line", "literal-past-count"])
+def test_solve_dimacs_malformed_input_is_a_parse_error(tmp_path, text,
+                                                       message):
+    f = tmp_path / "bad.cnf"
+    f.write_text(text)
+    rc, out, err = run_cli(["--solve-dimacs", str(f)])
+    assert rc == 3 and out == ""
+    assert re.match(message, err) and "Traceback" not in err
+
+
+def test_solve_dimacs_missing_file_is_an_error(tmp_path):
+    rc, out, err = run_cli(["--solve-dimacs", str(tmp_path / "none.cnf")])
+    assert rc == 3 and out == ""
+    assert err.startswith("error: ") and "none.cnf" in err
 
 
 def test_run_file_api(corpus):

@@ -1,11 +1,15 @@
 """The stores are the engines: the protocol both modes expose, and the
 rule that internal calls never go through the public operation names."""
 
+import random
+
 import pytest
 
 from bitblast.aig import SWEEP_STATS, AigStore
 from bitblast.bdd import BddStore
 from bitblast.engine import make_engine
+
+from helpers import build_formula, random_formula
 
 PROTOCOL = ("mode", "true", "false", "const", "var", "not_", "and_", "or_",
             "xor_", "iff_", "ite", "is_true", "is_false", "eval", "support",
@@ -33,6 +37,32 @@ def test_make_engine_exposes_the_protocol(mode, cls):
     assert eng.store is eng
     # budgets left as None take the store's own defaults
     assert eng.node_budget == cls().node_budget
+
+
+@pytest.mark.parametrize("cls", [BddStore, AigStore])
+def test_witness_rejects_an_unknown_policy(cls):
+    s = cls()
+    for node in (s.true, s.false, s.var(0)):
+        for indices in ((), [0]):
+            with pytest.raises(ValueError, match="unknown witness policy"):
+                s.witness(node, "bogus", indices)
+
+
+def test_witnesses_agree_across_stores():
+    # the same formulas in both stores give the same witness for every
+    # policy and seed, once the indices cover the variables
+    rng = random.Random(41)
+    bdd, aig = BddStore(), AigStore()
+    for trial in range(80):
+        nvars = rng.randrange(1, 10)
+        e = random_formula(rng, nvars, 6)
+        f, g = build_formula(bdd, e), build_formula(aig, e)
+        indices = range(nvars + rng.randrange(0, 3))
+        for policy in ("zeros", "ones", "random"):
+            for seed in range(3):
+                assert (bdd.witness(f, policy, indices, seed)
+                        == aig.witness(g, policy, indices, seed)), \
+                    (trial, policy, seed)
 
 
 def test_make_engine_budgets_and_unknown_mode():
