@@ -8,6 +8,12 @@ integer bits are required), the counterpart emits an opaque
 function-call escape rather than guessing.  Widths never truncate:
 addition yields one extra bit, multiplication the sum of the operand
 widths.
+
+`ash` and `logbitp` take every count, constant or symbolic, through
+one log shifter (`_barrel`): per count bit, a constant shift by a power
+of two, muxed in only where the bit is symbolic.  A negative count c
+shifts right by one and then by its complemented low bits, which sum
+to -c - 1; the count's sign bit picks the direction.
 """
 
 from .concrete import PRIMITIVES, apply_primitive
@@ -23,7 +29,6 @@ from .symobj import (
     as_bool_expr,
     as_cons_parts,
     bool_obj,
-    bits_to_int,
     cons_obj,
     const_bits,
     merge_ite,
@@ -32,10 +37,6 @@ from .symobj import (
     sign_extend,
     truth_expr,
 )
-
-# widest symbolic shift count or bit index that is split into one case
-# per value; a wider one escapes
-SHIFT_SPLIT_BOUND = 8
 
 # widest bit vector a shift or power is allowed to materialize; larger
 # results escape instead of exhausting memory
@@ -322,24 +323,21 @@ def _shift_const(bits, c, eng):
     return tuple(bits[k:])
 
 
-def _count_values(ctx, cnt, body):
-    """Case-split a bounded symbolic count: body(v) for each value the
-    count bits can take, merged over the bit tests."""
-    eng = ctx.eng
-    bits = cnt.bits
-
-    def rec(i, chosen):
-        if i < 0:
-            return body(bits_to_int(chosen))
-        saved = chosen[i]
-        chosen[i] = True
-        hi = rec(i - 1, chosen)
-        chosen[i] = False
-        lo = rec(i - 1, chosen)
-        chosen[i] = saved
-        return merge_ite(eng, bits[i], hi, lo)
-
-    return rec(len(bits) - 1, [False] * len(bits))
+def _barrel(eng, bits, count, step, on=True):
+    """Log shifter: one stage per count bit j, shifting by step * 2**j
+    places where the bit equals `on`.  A constant bit skips its stage
+    or shifts outright; only a symbolic one costs a mux."""
+    for j, c in enumerate(count):
+        if eng.is_true(c) or eng.is_false(c):
+            if eng.is_true(c) == on:
+                bits = _shift_const(bits, step << j, eng)
+            continue
+        moved = _shift_const(bits, step << j, eng)
+        w = max(len(bits), len(moved))
+        pairs = zip(sign_extend(moved, w), sign_extend(bits, w))
+        bits = tuple(eng.ite(c, a, b) if on else eng.ite(c, b, a)
+                     for a, b in pairs)
+    return bits
 
 
 def _ash_impl(ctx, args):
@@ -348,18 +346,19 @@ def _ash_impl(ctx, args):
     xbits = _int_bits(x, eng)
     if xbits is None:
         return ctx.g_apply("ash", args)
-    if isinstance(cnt, GNumber):
-        if len(cnt.bits) > SHIFT_SPLIT_BOUND:
-            return ctx.g_apply("ash", args)
-        return _count_values(
-            ctx, cnt, lambda v: number_obj(_shift_const(xbits, v, eng), eng))
     cbits = _int_bits(cnt, eng)
     if cbits is None:
         return ctx.g_apply("ash", args)
-    c = bits_to_int([eng.is_true(b) for b in cbits])
-    if c + len(xbits) > _MAX_RESULT_WIDTH:
+    low, sign = cbits[:-1], cbits[-1]
+    reach = sum(1 << j for j, b in enumerate(low) if not eng.is_false(b))
+    if not eng.is_true(sign) and len(xbits) + reach > _MAX_RESULT_WIDTH:
         return ctx.g_apply("ash", args)
-    return number_obj(_shift_const(xbits, c, eng), eng)
+    left = None if eng.is_true(sign) else number_obj(
+        _barrel(eng, xbits, low, 1), eng)
+    # a negative count c has -c = 1 + (lognot of its low bits)
+    right = None if eng.is_false(sign) else number_obj(_barrel(
+        eng, _shift_const(xbits, -1, eng), low, -1, on=False), eng)
+    return merge_ite(eng, sign, right, left)
 
 
 def _logbitp_impl(ctx, args):
@@ -368,19 +367,15 @@ def _logbitp_impl(ctx, args):
     xbits = _int_bits(x, eng)
     if xbits is None:
         return ctx.g_apply("logbitp", args)
-
-    def bit_at(n):
-        n = n if n >= 0 else 0
-        return bool_obj(xbits[min(n, len(xbits) - 1)], eng)
-
-    if isinstance(i, GNumber):
-        if len(i.bits) > SHIFT_SPLIT_BOUND:
-            return ctx.g_apply("logbitp", args)
-        return _count_values(ctx, i, bit_at)
     ibits = _int_bits(i, eng)
     if ibits is None:
         return ctx.g_apply("logbitp", args)
-    return bit_at(bits_to_int([eng.is_true(b) for b in ibits]))
+    low, sign = ibits[:-1], ibits[-1]
+    # a negative index reads bit 0 (nfix)
+    neg = None if eng.is_false(sign) else bool_obj(xbits[0], eng)
+    nonneg = None if eng.is_true(sign) else bool_obj(
+        _barrel(eng, xbits, low, -1)[0], eng)
+    return merge_ite(eng, sign, neg, nonneg)
 
 
 def _logcount_impl(ctx, args):

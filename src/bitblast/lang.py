@@ -128,7 +128,7 @@ def parse_term(value):
         out = parse_term(args[-1])
         for a in reversed(args[:-1]):
             t = parse_term(a)
-            out = If(t, parse_term(a), out)
+            out = If(t, t, out)
         return out
     if name == "cond":
         return _parse_cond(args, src=value)

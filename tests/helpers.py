@@ -268,10 +268,20 @@ def counterpart_oracle_suite(make_engine):
         check("ash", [X, Concrete(cnt)], 4)
         check("logbitp", [Concrete(max(cnt, 0)), X], 4)
     check("logbitp", [Concrete(100), X], 4)
-    # symbolic shift amounts and bit indices (3-bit, within the split bound)
-    CNT = lambda eng, x, y: GNumber(tuple(eng.var(i) for i in (8, 9, 10)))
-    check("ash", [X, CNT], 11)
-    check("logbitp", [CNT, X], 11)
+    # signed symbolic shift amounts and bit indices of widths 1-5, one
+    # with constant-false high bits, one with only its sign symbolic;
+    # an int is an offset into y's variables, a bool a constant bit
+    def count(*bits):
+        return lambda eng, x, y: GNumber(tuple(
+            eng.const(b) if isinstance(b, bool) else eng.var(4 + b)
+            for b in bits))
+
+    counts = [(count(*range(w)), 4 + w) for w in range(1, 6)]
+    counts.append((count(0, 1, False, False, False), 6))
+    counts.append((count(True, False, 0), 5))
+    for cnt, nvars in counts:
+        check("ash", [X, cnt], nvars)
+        check("logbitp", [cnt, X], nvars)
     check("ash", [BOOL, X], 9)
 
     for e in range(0, 4):

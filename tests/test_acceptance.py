@@ -217,6 +217,7 @@ MODE_CORPUS = [
     ("always_equal.lisp", ["proved", "indeterminate"]),
     ("word_mutants.lisp", ["disproved"] * 4),
     ("coverage_traps.lisp", ["coverage-failed"] * 2),
+    ("x86_shifts.lisp", ["proved", "proved", "disproved"]),
 ]
 
 

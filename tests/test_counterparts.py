@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from bitblast import counterparts
 from bitblast.cli import run_file
 from bitblast.concrete import apply_primitive
 from bitblast.counterparts import SymbolicContext, apply_counterpart
@@ -199,12 +198,24 @@ def test_ash_value_identity(ctx, eng):
         == Concrete(2)
 
 
-def test_ash_split_bound_escapes(ctx, eng, monkeypatch):
-    monkeypatch.setattr(counterparts, "SHIFT_SPLIT_BOUND", 2)
+def test_ash_escapes_only_past_the_result_width(ctx, eng):
+    # the widest left shift a 17-bit count allows takes a 4-bit x past
+    # 65 536 bits
     x = GNumber(tuple(eng.var(i) for i in range(4)))
-    cnt = GNumber(tuple(eng.var(i) for i in range(4, 8)))
+    cnt = GNumber(tuple(eng.var(i) for i in range(4, 21)))
     r = apply_counterpart(ctx, "ash", [x, cnt])
     assert isinstance(r, GApply) and r.fn == "ash"
+    # (logand c 31) over a 9-bit c has 9 bits, the top four constant
+    # false, so it shifts by at most 31
+    c = GNumber(tuple(eng.var(i) for i in range(4, 13)))
+    cnt = apply_counterpart(ctx, "logand", [c, Concrete(31)])
+    assert len(cnt.bits) == 9
+    r = apply_counterpart(ctx, "ash", [x, cnt])
+    assert isinstance(r, GNumber) and len(r.bits) == 4 + 31
+    for k in range(1 << 9):
+        env = {0: True, 1: False, 2: True, 3: True}  # x = -3
+        env.update((4 + j, bool(k >> j & 1)) for j in range(9))
+        assert sym_eval(r, env, eng) == -3 << (k & 31)
 
 
 def test_ash_huge_count_escapes_instead_of_allocating(ctx, eng):
