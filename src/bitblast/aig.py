@@ -187,22 +187,17 @@ class AigStore:
 
     def eval(self, x, env):
         """Evaluate under a map var-index -> bool."""
-        vals = {1: True}
-        for n in self._walk(x):
+        order = self._walk(x)
+        inputs = {}
+        for n in order:
             desc = self._nodes[n]
             if desc[0] == "var":
                 try:
-                    vals[n] = env[desc[1]]
+                    inputs[n] = int(bool(env[desc[1]]))
                 except KeyError:
                     raise MissingAssignment(
                         "no assignment for variable %d" % desc[1]) from None
-            else:
-                _, a, b = desc
-                va = vals[abs(a)] ^ (a < 0)
-                vb = vals[abs(b)] ^ (b < 0)
-                vals[n] = va and vb
-        v = vals[abs(x)]
-        return v ^ (x < 0)
+        return bool(_simulate(self._nodes, order, inputs, 1)[abs(x)]) ^ (x < 0)
 
     def _inputs(self, root):
         """{variable index: variable node} over root's cone."""

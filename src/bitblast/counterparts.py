@@ -16,7 +16,7 @@ shifts right by one and then by its complemented low bits, which sum
 to -c - 1; the count's sign bit picks the direction.
 """
 
-from .concrete import PRIMITIVES, apply_primitive
+from .concrete import PRIMITIVE_ALIASES, PRIMITIVES, apply_primitive
 from .errors import EvalError, IndeterminateError
 from .values import NIL, T, Cons, is_boolean_value, is_integer, is_number
 from .symobj import (
@@ -484,8 +484,8 @@ _HANDLERS = {
     "always-equal": _always_equal_impl,
 }
 
-# the escape tags that differ from the name (concrete.PRIMITIVE_ALIASES)
-_ESCAPE_NAMES = {"+": "binary-+", "*": "binary-*"}
+# the escape tags that differ from the name
+_ESCAPE_NAMES = {name: tag for tag, name in PRIMITIVE_ALIASES.items()}
 
 # structure-preserving ops where pushing through branch objects would
 # only lose sharing

@@ -78,7 +78,7 @@ class _Spec:
 
 @dataclass
 class TheoremSpec(_Spec):
-    g_bindings: dict  # var name -> ShapeSpec
+    g_bindings: dict  # var name -> shape (see symobj.parse_shape)
 
 
 @dataclass

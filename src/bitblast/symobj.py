@@ -1,4 +1,4 @@
-"""Symbolic objects, shape specs, and the values shapes cover.
+"""Symbolic objects, shapes, and the values shapes cover.
 
 A symbolic object denotes a set of concrete values: Boolean
 expressions sit in the bit positions of numbers (`GNumber`, lsb first,
@@ -7,9 +7,11 @@ last bit the sign) and in the truth slot of booleans (`GBoolean`).
 the opaque function-call escape.  A `Concrete` object just represents
 its value.
 
-Shape specs are the binding syntax: the same grammar with distinct
-natural-number variable indices in place of the Boolean expressions
-(escapes are not expressible).
+A shape, the binding syntax, is a symbolic object of the same classes
+with distinct natural-number variable indices in place of the Boolean
+expressions (escapes are not expressible).  `parse_shape` builds it
+and checks the indices; instantiation (`shape_to_symobj`) swaps each
+index for the engine's variable.
 """
 
 from .concrete import apply_fn
@@ -356,84 +358,30 @@ def map_symobj_exprs(obj, fn):
     raise TypeError("not a symbolic object: %r" % (obj,))
 
 
-# -- shape specs --------------------------------------------------------------
-
-class ShapeSpec:
-    __slots__ = ()
-
-
-class ShapeBool(ShapeSpec):
-    __slots__ = ("index",)
-
-    def __init__(self, index):
-        self.index = index
-
-    def __repr__(self):
-        return "(:g-boolean . %d)" % self.index
-
-
-class ShapeNum(ShapeSpec):
-    __slots__ = ("indices",)
-
-    def __init__(self, indices):
-        indices = tuple(indices)
-        if not indices:
-            raise ShapeError("zero-width number shape")
-        if len(set(indices)) != len(indices):
-            raise ShapeError("duplicate index in number shape")
-        for i in indices:
-            if not is_integer(i) or i < 0:
-                raise ShapeError("shape indices must be naturals: %r" % (i,))
-        self.indices = indices
-
-    def __repr__(self):
-        return "(:g-number (%s))" % " ".join(str(i) for i in self.indices)
-
-
-class ShapeIte(ShapeSpec):
-    __slots__ = ("test", "then", "els")
-
-    def __init__(self, test, then, els):
-        if not isinstance(test, ShapeBool):
-            raise ShapeError("shape if-then-else test must be a boolean shape")
-        self.test = test
-        self.then = then
-        self.els = els
-
-    def __repr__(self):
-        return "(:g-ite %r %r . %r)" % (self.test, self.then, self.els)
-
-
-class ShapeCons(ShapeSpec):
-    __slots__ = ("car", "cdr")
-
-    def __init__(self, car, cdr):
-        self.car = car
-        self.cdr = cdr
-
-    def __repr__(self):
-        return "(%r . %r)" % (self.car, self.cdr)
-
-
-class ShapeConcrete(ShapeSpec):
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __repr__(self):
-        return print_value(self.value)
-
+# -- shapes -------------------------------------------------------------------
 
 _TAG_BOOL = Symbol(":g-boolean")
 _TAG_NUM = Symbol(":g-number")
 _TAG_ITE = Symbol(":g-ite")
 
 
+def _number_shape(indices):
+    """A number shape over distinct natural indices, lsb first."""
+    indices = tuple(indices)
+    if not indices:
+        raise ShapeError("zero-width number shape")
+    if len(set(indices)) != len(indices):
+        raise ShapeError("duplicate index in number shape")
+    for i in indices:
+        if not is_integer(i) or i < 0:
+            raise ShapeError("shape indices must be naturals: %r" % (i,))
+    return GNumber(indices)
+
+
 def parse_shape(v):
-    """Translate a binding s-expression (or an already-built spec) into
-    a ShapeSpec."""
-    if isinstance(v, ShapeSpec):
+    """Translate a binding s-expression (or an already-built shape) into
+    a shape: a symbolic object with variable indices at its leaves."""
+    if isinstance(v, SymObj):
         return v
     if isinstance(v, Cons):
         head = v.car
@@ -442,7 +390,7 @@ def parse_shape(v):
                 raise ShapeError("boolean shape wants one index: %s" % print_value(v))
             if v.cdr < 0:
                 raise ShapeError("shape indices must be naturals")
-            return ShapeBool(v.cdr)
+            return GBoolean(v.cdr)
         if head is _TAG_NUM:
             args, tail = list_elements(v.cdr)
             if tail is not NIL or len(args) != 1:
@@ -451,18 +399,20 @@ def parse_shape(v):
             idxs, itail = list_elements(args[0])
             if itail is not NIL:
                 raise ShapeError("malformed index list: %s" % print_value(v))
-            return ShapeNum(idxs)
+            return _number_shape(idxs)
         if head is _TAG_ITE:
             if not isinstance(v.cdr, Cons) or not isinstance(v.cdr.cdr, Cons):
                 raise ShapeError("malformed if-then-else shape: %s" % print_value(v))
             test = parse_shape(v.cdr.car)
             then = parse_shape(v.cdr.cdr.car)
             els = parse_shape(v.cdr.cdr.cdr)
-            return ShapeIte(test, then, els)
+            if not isinstance(test, GBoolean):
+                raise ShapeError("shape if-then-else test must be a boolean shape")
+            return GIte(test, then, els)
         if head in RESERVED_TAGS:
             raise ShapeError("%s is not expressible in bindings" % head.name)
-        return ShapeCons(parse_shape(v.car), parse_shape(v.cdr))
-    return ShapeConcrete(v)
+        return cons_obj(parse_shape(v.car), parse_shape(v.cdr))
+    return Concrete(v)
 
 
 def g_int(start, by, n):
@@ -472,42 +422,26 @@ def g_int(start, by, n):
         raise ShapeError("number shape needs at least one bit")
     if by == 0:
         raise ShapeError("index step must be nonzero")
-    return ShapeNum(tuple(start + i * by for i in range(n)))
+    return _number_shape(start + i * by for i in range(n))
 
 
 def shape_indices(spec):
     """All variable indices inside a shape, in syntactic order."""
-    out = []
-    if isinstance(spec, ShapeBool):
-        out.append(spec.index)
-    elif isinstance(spec, ShapeNum):
-        out.extend(spec.indices)
-    elif isinstance(spec, ShapeIte):
-        out.extend(shape_indices(spec.test))
-        out.extend(shape_indices(spec.then))
-        out.extend(shape_indices(spec.els))
-    elif isinstance(spec, ShapeCons):
-        out.extend(shape_indices(spec.car))
-        out.extend(shape_indices(spec.cdr))
-    return out
+    if isinstance(spec, GBoolean):
+        return [spec.val]
+    if isinstance(spec, GNumber):
+        return list(spec.bits)
+    if isinstance(spec, GIte):
+        return (shape_indices(spec.test) + shape_indices(spec.then)
+                + shape_indices(spec.els))
+    if isinstance(spec, ConsObj):
+        return shape_indices(spec.car) + shape_indices(spec.cdr)
+    return []
 
 
 def shape_to_symobj(spec, eng):
     """Instantiate a shape: every index becomes that engine variable."""
-    if isinstance(spec, ShapeBool):
-        return GBoolean(eng.var(spec.index))
-    if isinstance(spec, ShapeNum):
-        return GNumber(tuple(eng.var(i) for i in spec.indices))
-    if isinstance(spec, ShapeIte):
-        return GIte(shape_to_symobj(spec.test, eng),
-                    shape_to_symobj(spec.then, eng),
-                    shape_to_symobj(spec.els, eng))
-    if isinstance(spec, ShapeCons):
-        return cons_obj(shape_to_symobj(spec.car, eng),
-                        shape_to_symobj(spec.cdr, eng))
-    if isinstance(spec, ShapeConcrete):
-        return Concrete(spec.value)
-    raise TypeError("not a shape spec: %r" % (spec,))
+    return map_symobj_exprs(spec, eng.var)
 
 
 # -- coverage -----------------------------------------------------------------
@@ -516,30 +450,30 @@ def shape_contains(spec, value):
     """Does some assignment of the shape's variables give `value`?  The
     indices are distinct, so an if-then-else shape is the union of its
     branches and a cons shape the product of its fields."""
-    if isinstance(spec, ShapeNum):
-        half = 1 << (len(spec.indices) - 1)
+    if isinstance(spec, GNumber):
+        half = 1 << (len(spec.bits) - 1)
         return is_integer(value) and -half <= value < half
-    if isinstance(spec, ShapeBool):
+    if isinstance(spec, GBoolean):
         return value is T or value is NIL
-    if isinstance(spec, ShapeConcrete):
+    if isinstance(spec, Concrete):
         return values_equal(value, spec.value)
-    if isinstance(spec, ShapeCons):
+    if isinstance(spec, ConsObj):
         return (isinstance(value, Cons)
                 and shape_contains(spec.car, value.car)
                 and shape_contains(spec.cdr, value.cdr))
-    if isinstance(spec, ShapeIte):
+    if isinstance(spec, GIte):
         return shape_contains(spec.then, value) or shape_contains(spec.els, value)
     raise TypeError("not a shape spec: %r" % (spec,))
 
 
 def shape_int_intervals(spec):
     """Closed integer intervals the shape covers (unmerged)."""
-    if isinstance(spec, ShapeNum):
-        half = 1 << (len(spec.indices) - 1)
+    if isinstance(spec, GNumber):
+        half = 1 << (len(spec.bits) - 1)
         return [(-half, half - 1)]
-    if isinstance(spec, ShapeConcrete) and is_integer(spec.value):
+    if isinstance(spec, Concrete) and is_integer(spec.value):
         return [(spec.value, spec.value)]
-    if isinstance(spec, ShapeIte):
+    if isinstance(spec, GIte):
         return shape_int_intervals(spec.then) + shape_int_intervals(spec.els)
     return []
 

@@ -75,7 +75,7 @@ def _eval_binding_builder(v, line):
 
 def _resolve_bindings_value(v, line, in_quasi=False):
     """Strip quote/quasiquote sugar and resolve unquoted builder calls,
-    leaving a tree of values (with shape specs spliced in)."""
+    leaving a tree of values (with g-int shapes spliced in)."""
     if isinstance(v, Cons):
         if v.car is QUASIQUOTE and isinstance(v.cdr, Cons) and v.cdr.cdr is NIL:
             return _resolve_bindings_value(v.cdr.car, line, True)
@@ -110,7 +110,8 @@ def _binding_dict(v, line, parse_value=parse_shape):
 
 
 def parse_bindings(v, line):
-    """((var shape) ...) -> ordered dict var name -> ShapeSpec."""
+    """((var shape) ...) -> ordered dict var name -> shape (a symbolic
+    object with variable indices at its leaves)."""
     return _binding_dict(_resolve_bindings_value(v, line), line)
 
 

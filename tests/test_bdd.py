@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bitblast.aig import witness_preference
+from bitblast.aig import AigStore, witness_preference
 from bitblast.bdd import FALSE, TRUE, BddStore
 from bitblast.errors import (
     MissingAssignment,
@@ -42,9 +42,10 @@ def test_ite_identities():
 
 
 def test_eval_requires_assignment():
-    s = BddStore()
-    with pytest.raises(MissingAssignment):
-        s.eval(s.var(2), {0: True})
+    for s in (BddStore(), AigStore()):
+        with pytest.raises(MissingAssignment,
+                           match="no assignment for variable 2"):
+            s.eval(s.and_(s.var(0), s.var(2)), {0: True})
 
 
 def test_eval_against_truth_table_oracle():

@@ -21,11 +21,11 @@ from bitblast.prover import (
 )
 from bitblast.reader import read_one_value
 from bitblast.symobj import (
-    ShapeBool,
-    ShapeConcrete,
-    ShapeCons,
-    ShapeIte,
-    ShapeNum,
+    Concrete,
+    GBoolean,
+    GIte,
+    GNumber,
+    cons_obj,
     g_int,
     parse_shape,
     shape_contains,
@@ -188,17 +188,17 @@ def _random_shape(rng, fresh, depth=2):
     kinds = ("num", "num", "bool", "const") + (("ite", "cons") if depth else ())
     kind = rng.choice(kinds)
     if kind == "num":
-        return ShapeNum([next(fresh) for _ in range(rng.randint(1, 3))])
+        return GNumber([next(fresh) for _ in range(rng.randint(1, 3))])
     if kind == "bool":
-        return ShapeBool(next(fresh))
+        return GBoolean(next(fresh))
     if kind == "const":
-        return ShapeConcrete(read_one_value(rng.choice(_CONSTANTS)))
+        return Concrete(read_one_value(rng.choice(_CONSTANTS)))
     if kind == "ite":
-        return ShapeIte(ShapeBool(next(fresh)),
-                        _random_shape(rng, fresh, depth - 1),
-                        _random_shape(rng, fresh, depth - 1))
-    return ShapeCons(_random_shape(rng, fresh, depth - 1),
-                     _random_shape(rng, fresh, depth - 1))
+        return GIte(GBoolean(next(fresh)),
+                    _random_shape(rng, fresh, depth - 1),
+                    _random_shape(rng, fresh, depth - 1))
+    return cons_obj(_random_shape(rng, fresh, depth - 1),
+                    _random_shape(rng, fresh, depth - 1))
 
 
 def _random_conjunct(rng):
@@ -429,7 +429,7 @@ def test_forced_constant_budget_is_a_parametrize_resource_limit(defs):
     spec = _spec("guard", "(and (unsigned-byte-p 3 x) (unsigned-byte-p 3 y)"
                  " (booleanp b) (if (equal (* x y) (* y x)) b t))", "b",
                  {"x": g_int(0, 2, 4), "y": g_int(1, 2, 4),
-                  "b": ShapeBool(8)})
+                  "b": GBoolean(8)})
     r = prove_gl_thm(spec, defs, CFG, ProverOptions(mode="aig"))
     assert r.kind == "proved"
     used = r.stats["sat_conflicts"]

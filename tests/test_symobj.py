@@ -177,11 +177,11 @@ def test_merge_ite_semantics_random(eng):
 
 def test_parse_shape_forms():
     s = parse_shape(read_one_value("(:g-boolean . 0)"))
-    assert s.index == 0
+    assert s.val == 0
     s = parse_shape(read_one_value("(:g-number (0 1 2))"))
-    assert s.indices == (0, 1, 2)
+    assert s.bits == (0, 1, 2)
     s = parse_shape(read_one_value("(:g-ite (:g-boolean . 11) exact . fast)"))
-    assert s.test.index == 11
+    assert s.test.val == 11
     s = parse_shape(read_one_value("#b0010100"))
     assert s.value == 20
     s = parse_shape(read_one_value("exact"))
@@ -204,10 +204,10 @@ def test_parse_shape_rejections():
 
 
 def test_g_int():
-    assert g_int(1, 2, 5).indices == (1, 3, 5, 7, 9)
-    assert g_int(2, 2, 5).indices == (2, 4, 6, 8, 10)
-    assert g_int(0, 1, 1).indices == (0,)
-    assert g_int(32, -1, 33).indices == tuple(range(32, -1, -1))
+    assert g_int(1, 2, 5).bits == (1, 3, 5, 7, 9)
+    assert g_int(2, 2, 5).bits == (2, 4, 6, 8, 10)
+    assert g_int(0, 1, 1).bits == (0,)
+    assert g_int(32, -1, 33).bits == tuple(range(32, -1, -1))
     with pytest.raises(ShapeError):
         g_int(0, 1, 0)
     with pytest.raises(ShapeError):
@@ -221,12 +221,17 @@ def test_shape_to_symobj(eng):
     assert isinstance(obj, GNumber) and len(obj.bits) == 33
     obj = shape_to_symobj(parse_shape(read_one_value("#b0010100")), eng)
     assert obj == Concrete(20)
+    spec = parse_shape(read_one_value("(1 . a)"))
+    assert spec == Concrete(Cons(1, Symbol("a")))
+    assert shape_to_symobj(spec, eng) == spec
 
 
 def test_shape_indices_collects_everything():
+    # syntactic order: test, then, else; car before cdr; bits lsb first
     spec = parse_shape(read_one_value(
-        "(:g-ite (:g-boolean . 7) (:g-number (0 1)) . (:g-number (2 3)))"))
-    assert sorted(shape_indices(spec)) == [0, 1, 2, 3, 7]
+        "(:g-ite (:g-boolean . 7) (:g-number (0 1))"
+        " . ((:g-boolean . 5) . (:g-number (3 2))))"))
+    assert shape_indices(spec) == [7, 0, 1, 5, 3, 2]
 
 
 # -- the values shapes cover --------------------------------------------------

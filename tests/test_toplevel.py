@@ -5,7 +5,7 @@ from bitblast.cli import run_file
 from bitblast.errors import FileFormatError
 from bitblast.lang import Var, base_env
 from bitblast.prover import ParamTheoremSpec, TheoremSpec
-from bitblast.symobj import ShapeBool, ShapeConcrete, ShapeNum
+from bitblast.symobj import Concrete, GBoolean, GNumber
 from bitblast.toplevel import (
     DefunEvent,
     DirectiveEvent,
@@ -48,9 +48,9 @@ def test_binding_forms():
                     (opcode #b0010100)))
     """)
     spec = events[0].spec
-    assert isinstance(spec.g_bindings["flag"], ShapeBool)
-    assert spec.g_bindings["a"].indices == (1, 3, 5, 7, 9)
-    assert isinstance(spec.g_bindings["opcode"], ShapeConcrete)
+    assert isinstance(spec.g_bindings["flag"], GBoolean)
+    assert spec.g_bindings["a"].bits == (1, 3, 5, 7, 9)
+    assert isinstance(spec.g_bindings["opcode"], Concrete)
     assert spec.g_bindings["opcode"].value == 20
 
 
@@ -60,7 +60,7 @@ def test_quasiquoted_g_int_binding():
       :g-bindings `((x ,(g-int 0 1 33))))
     """)
     shape = events[0].spec.g_bindings["x"]
-    assert isinstance(shape, ShapeNum) and len(shape.indices) == 33
+    assert isinstance(shape, GNumber) and len(shape.bits) == 33
 
 
 def test_theorem_options():
@@ -96,7 +96,7 @@ def test_param_theorem_form():
     assert isinstance(spec, ParamTheoremSpec)
     assert len(spec.param_bindings) == 2
     assert spec.param_bindings[0][0] == {"b": 0}
-    assert spec.param_bindings[1][1]["x"].indices == (4, 3, 2, 1, 0)
+    assert spec.param_bindings[1][1]["x"].bits == (4, 3, 2, 1, 0)
 
 
 def test_rejections():
