@@ -22,10 +22,10 @@ key names exactly one triple or pair.  For the default budget of 50M
 nodes W is 26: a pair key, and a unique key whose variable index is
 below 256, fits in two 30-bit CPython digits (32 bytes) and an ite key
 in three (36 bytes), where a tuple key takes 56 or 64 bytes.  Measured
-on CPython 3.11: the 64-bit popcount proof (59 131 nodes) peaks at 309
-bytes per node under tracemalloc, against 393 with tuple keys, and a
-9-bit multiplier commutativity proof (522 398 nodes) at 239 bytes of
-RSS per node, against 326.
+on CPython 3.11: the 64-bit popcount proof (47 195 nodes) peaks at 266
+bytes per node under tracemalloc, against 335 with tuple keys, and a
+9-bit multiplier commutativity proof (195 663 nodes) at 355 bytes of
+RSS per node, against 453.  Both figures include the computed caches.
 """
 
 from .aig import SWEEP_STATS, witness_preference

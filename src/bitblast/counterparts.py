@@ -20,6 +20,7 @@ from .concrete import PRIMITIVE_ALIASES, PRIMITIVES, apply_primitive
 from .errors import EvalError, IndeterminateError
 from .values import NIL, T, Cons, is_boolean_value, is_integer, is_number
 from .symobj import (
+    MAX_WIDTH,
     Concrete,
     ConsObj,
     GApply,
@@ -37,10 +38,6 @@ from .symobj import (
     sign_extend,
     truth_expr,
 )
-
-# widest bit vector a shift or power is allowed to materialize; larger
-# results escape instead of exhausting memory
-_MAX_RESULT_WIDTH = 1 << 16
 
 
 class SymbolicContext:
@@ -117,11 +114,19 @@ def _sub_bits(eng, xs, ys):
 
 def _mul_bits(eng, xs, ys):
     """Shift-and-add product.  Row i adds (x AND y_i) << i, so it ripples
-    only through columns i and up; a constant-false y_i adds nothing."""
+    only through columns i and up; a constant-false y_i adds nothing.
+
+    Rows are added from the top row down.  For a constant y such as
+    #x0101...01, the running sum after rows k and up holds in its byte
+    j the sum of x's bytes 0..j-k: one function for every (j, k) with
+    the same j - k, so later ripples hit the BDD computed cache.  Bottom
+    up, byte j holds the sum of bytes j-k..j, a new function for each
+    (j, k), and the 64-bit popcount proof takes a quarter more nodes."""
     w = len(xs) + len(ys)
     xs_w = sign_extend(xs, w)
     acc = [eng.false] * w
-    for i, yb in enumerate(ys):
+    for i in range(len(ys) - 1, -1, -1):
+        yb = ys[i]
         if yb == eng.false:
             continue
         partial = [eng.and_(b, yb) for b in xs_w[:w - i]]
@@ -351,7 +356,7 @@ def _ash_impl(ctx, args):
         return ctx.g_apply("ash", args)
     low, sign = cbits[:-1], cbits[-1]
     reach = sum(1 << j for j, b in enumerate(low) if not eng.is_false(b))
-    if not eng.is_true(sign) and len(xbits) + reach > _MAX_RESULT_WIDTH:
+    if not eng.is_true(sign) and len(xbits) + reach > MAX_WIDTH:
         return ctx.g_apply("ash", args)
     left = None if eng.is_true(sign) else number_obj(
         _barrel(eng, xbits, low, 1), eng)

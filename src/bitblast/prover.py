@@ -458,10 +458,13 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
     indices = []
     for shape in spec.g_bindings.values():
         indices.extend(shape_indices(shape))
-    objs = {v: shape_to_symobj(s, eng) for v, s in spec.g_bindings.items()}
-    stage = "hyp"
+    objs = {}
+    stage = "bindings"
     hyp_expr = None
     try:
+        objs = {v: shape_to_symobj(s, eng)
+                for v, s in spec.g_bindings.items()}
+        stage = "hyp"
         h = interp.run(spec.hyp, objs)
         hyp_expr = truth_expr(h, eng)
         stage = "vacuity"

@@ -31,6 +31,11 @@ from .values import (
 )
 
 
+# widest number a binding may declare or a shift may build; a wider
+# binding is refused and a wider shift escapes, instead of exhausting memory
+MAX_WIDTH = 1 << 16
+
+
 class SymObj:
     __slots__ = ()
 
@@ -318,6 +323,17 @@ def render_symobj(obj, eng=None):
             return "t" if e == 1 else "nil"
         return "#"
 
+    return _render(obj, expr)
+
+
+def print_form(v):
+    """print_value for a bindings form whose leaves may be spliced shapes;
+    a shape prints in the syntax it parses from, so (g-int 0 1 2) prints
+    as (:g-number (0 1))."""
+    return print_value(v, lambda shape: _render(shape, str))
+
+
+def _render(obj, expr):
     if isinstance(obj, Concrete):
         return print_value(obj.value)
     if isinstance(obj, GBoolean):
@@ -325,16 +341,16 @@ def render_symobj(obj, eng=None):
     if isinstance(obj, GNumber):
         return "(:g-number (%s))" % " ".join(expr(b) for b in obj.bits)
     if isinstance(obj, GIte):
-        return "(:g-ite %s %s . %s)" % (render_symobj(obj.test, eng),
-                                        render_symobj(obj.then, eng),
-                                        render_symobj(obj.els, eng))
+        return "(:g-ite %s %s . %s)" % (_render(obj.test, expr),
+                                        _render(obj.then, expr),
+                                        _render(obj.els, expr))
     if isinstance(obj, GApply):
         return "(:g-apply %s %s)" % (obj.fn,
-                                     " ".join(render_symobj(a, eng)
+                                     " ".join(_render(a, expr)
                                               for a in obj.args))
     if isinstance(obj, ConsObj):
-        return "(%s . %s)" % (render_symobj(obj.car, eng),
-                              render_symobj(obj.cdr, eng))
+        return "(%s . %s)" % (_render(obj.car, expr),
+                              _render(obj.cdr, expr))
     return repr(obj)
 
 
@@ -374,7 +390,8 @@ def _number_shape(indices):
         raise ShapeError("duplicate index in number shape")
     for i in indices:
         if not is_integer(i) or i < 0:
-            raise ShapeError("shape indices must be naturals: %r" % (i,))
+            raise ShapeError("shape indices must be naturals: %s"
+                             % print_form(i))
     return GNumber(indices)
 
 
@@ -387,7 +404,7 @@ def parse_shape(v):
         head = v.car
         if head is _TAG_BOOL:
             if not is_integer(v.cdr):
-                raise ShapeError("boolean shape wants one index: %s" % print_value(v))
+                raise ShapeError("boolean shape wants one index: %s" % print_form(v))
             if v.cdr < 0:
                 raise ShapeError("shape indices must be naturals")
             return GBoolean(v.cdr)
@@ -395,14 +412,14 @@ def parse_shape(v):
             args, tail = list_elements(v.cdr)
             if tail is not NIL or len(args) != 1:
                 raise ShapeError("number shape wants one index list: %s"
-                                 % print_value(v))
+                                 % print_form(v))
             idxs, itail = list_elements(args[0])
             if itail is not NIL:
-                raise ShapeError("malformed index list: %s" % print_value(v))
+                raise ShapeError("malformed index list: %s" % print_form(v))
             return _number_shape(idxs)
         if head is _TAG_ITE:
             if not isinstance(v.cdr, Cons) or not isinstance(v.cdr.cdr, Cons):
-                raise ShapeError("malformed if-then-else shape: %s" % print_value(v))
+                raise ShapeError("malformed if-then-else shape: %s" % print_form(v))
             test = parse_shape(v.cdr.car)
             then = parse_shape(v.cdr.cdr.car)
             els = parse_shape(v.cdr.cdr.cdr)
@@ -420,6 +437,8 @@ def g_int(start, by, n):
     by `by` (negative steps allowed as long as indices stay natural)."""
     if n < 1:
         raise ShapeError("number shape needs at least one bit")
+    if n > MAX_WIDTH:
+        raise ShapeError("number shape wider than %d bits" % MAX_WIDTH)
     if by == 0:
         raise ShapeError("index step must be nonzero")
     return _number_shape(start + i * by for i in range(n))

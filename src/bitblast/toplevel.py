@@ -13,7 +13,7 @@ from .errors import FileFormatError
 from .lang import base_env, free_vars, parse_defun, parse_term
 from .prover import ParamTheoremSpec, TheoremSpec
 from .reader import read_values_with_pos
-from .symobj import g_int, parse_shape
+from .symobj import SymObj, g_int, parse_shape, print_form
 from .values import (
     NIL,
     QUASIQUOTE,
@@ -95,13 +95,13 @@ def _binding_dict(v, line, parse_value=parse_shape):
     parse_value(x), binding each variable once."""
     entries, tail = list_elements(v)
     if tail is not NIL:
-        raise _form_error("malformed bindings: %s" % print_value(v), line)
+        raise _form_error("malformed bindings: %s" % print_form(v), line)
     out = {}
     for entry in entries:
         pair, ptail = list_elements(entry)
         if ptail is not NIL or len(pair) != 2 or not isinstance(pair[0], Symbol):
             raise _form_error("binding entries look like (var value), not %s"
-                              % print_value(entry), line)
+                              % print_form(entry), line)
         name = pair[0].name
         if name in out:
             raise _form_error("duplicate binding for %s" % name, line)
@@ -113,6 +113,19 @@ def parse_bindings(v, line):
     """((var shape) ...) -> ordered dict var name -> shape (a symbolic
     object with variable indices at its leaves)."""
     return _binding_dict(_resolve_bindings_value(v, line), line)
+
+
+def _case_value(value, line):
+    """A case variable's value, which must not hold a spliced shape."""
+    stack = [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, Cons):
+            stack += (v.car, v.cdr)
+        elif isinstance(v, SymObj):
+            raise _form_error("case variables take values, not shapes: %s"
+                              % print_form(value), line)
+    return value
 
 
 def parse_param_bindings(v, line):
@@ -127,7 +140,8 @@ def parse_param_bindings(v, line):
             raise _form_error(
                 ":param-bindings entries look like ((assignment) (bindings))",
                 line)
-        assignment = _binding_dict(parts[0], line, lambda value: value)
+        assignment = _binding_dict(parts[0], line,
+                                   lambda value: _case_value(value, line))
         if out and set(assignment) != set(out[0][0]):
             raise _form_error("every case must bind the same case variables",
                               line)

@@ -164,8 +164,9 @@ def named_char(name):
     return _NAMED_CHARS.get(name.lower())
 
 
-def print_value(v):
-    """Render a value as s-expression text; reparsing yields an equal value."""
+def print_value(v, other=None):
+    """Render a value as s-expression text; reparsing yields an equal value.
+    `other`, if given, renders each leaf that is not a value."""
     if isinstance(v, Symbol):
         return v.name
     if isinstance(v, int):
@@ -180,9 +181,11 @@ def print_value(v):
         parts = []
         node = v
         while isinstance(node, Cons):
-            parts.append(print_value(node.car))
+            parts.append(print_value(node.car, other))
             node = node.cdr
         if node is NIL:
             return "(" + " ".join(parts) + ")"
-        return "(" + " ".join(parts) + " . " + print_value(node) + ")"
+        return "(" + " ".join(parts) + " . " + print_value(node, other) + ")"
+    if other is not None:
+        return other(v)
     raise TypeError("not a value: %r" % (v,))

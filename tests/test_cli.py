@@ -91,6 +91,49 @@ def test_deep_nesting_is_a_parse_error(tmp_path):
     assert err.startswith("parse error:") and "Traceback" not in err
 
 
+def _bindings_file(tmp_path, bindings):
+    f = tmp_path / "b.lisp"
+    f.write_text("(def-gl-thm b :hyp t :concl (equal x x)\n"
+                 "  :g-bindings `%s)\n" % bindings)
+    return str(f)
+
+
+@pytest.mark.parametrize("bindings, message", [
+    # a spliced shape prints in the syntax it parses from
+    ("((x (:g-number ,(g-int 0 1 2))))",
+     "malformed index list: (:g-number (:g-number (0 1)))"),
+    ("((x (:g-boolean . ,(g-int 0 1 2))))",
+     "boolean shape wants one index: (:g-boolean . (:g-number (0 1)))"),
+    ("((4 ,(g-int 0 1 3)))",
+     "binding entries look like (var value), not (4 (:g-number (0 1 2)))"),
+    ("((x (:g-number (1/2))))", "shape indices must be naturals: 1/2"),
+    ("((x ,(g-int 0 1 #x55555555)))", "wider than 65536 bits"),
+])
+def test_bad_binding_is_a_parse_error(tmp_path, bindings, message):
+    rc, out, err = run_cli([_bindings_file(tmp_path, bindings)])
+    assert rc == 3 and out == ""
+    assert err.startswith("parse error:") and message in err
+
+
+def test_shape_as_a_case_value_is_a_parse_error(tmp_path):
+    f = tmp_path / "p.lisp"
+    f.write_text("(def-gl-param-thm p :hyp t :concl (equal x x)\n"
+                 "  :param-bindings\n"
+                 "  `((((c ,(g-int 0 1 2))) ((x ,(g-int 2 1 3)))))\n"
+                 "  :param-hyp t :cov-bindings `((x ,(g-int 2 1 3))))\n")
+    rc, out, err = run_cli([str(f)])
+    assert rc == 3 and out == ""
+    assert "case variables take values, not shapes: (:g-number (0 1))" in err
+
+
+@pytest.mark.parametrize("mode", ["bdd", "aig"])
+def test_binding_past_the_node_budget_is_a_resource_limit(tmp_path, mode):
+    path = _bindings_file(tmp_path, "((x ,(g-int 0 1 2000)))")
+    rc, out, _ = run_cli([path, "--mode", mode, "--node-budget", "1000"])
+    assert rc == 2
+    assert "RESOURCE LIMIT" in out and "nodes:bindings" in out
+
+
 def test_keep_going(tmp_path, corpus):
     src = (corpus / "integer_half.lisp").read_text()
     src += "\n(def-gl-thm trailing :hyp (unsigned-byte-p 2 y)" \

@@ -100,13 +100,44 @@ def test_mul_by_constant_exhaustive_signed_widths(ctx, eng, const):
                 assert sym_eval(m, env, eng) == v * const, (width, v, args)
 
 
+@pytest.mark.parametrize("wx", range(1, 6))
+def test_mul_symbolic_exhaustive_signed_widths(ctx, eng, wx):
+    # both operands symbolic and signed, in both orders: the sign row
+    # is the first row added, and a width-1 operand is its sign row only;
+    # wy >= wx with both orders covers every pair of widths
+    x = shape_to_symobj(g_int(0, 1, wx), eng)
+    for wy in range(wx, 6):
+        y = shape_to_symobj(g_int(wx, 1, wy), eng)
+        xy = apply_counterpart(ctx, "*", [x, y])
+        yx = apply_counterpart(ctx, "*", [y, x])
+        for env in all_envs(wx + wy):
+            want = sym_eval(x, env, eng) * sym_eval(y, env, eng)
+            assert sym_eval(xy, env, eng) == want, (wx, wy, env)
+            assert sym_eval(yx, env, eng) == want, (wx, wy, env)
+
+
 def test_fast_logcount_64_bdd_nodes(corpus):
     # the 64-bit proof is mostly its 64* product; skipping the zero rows
-    # of the constant multiplier took it from 62 739 nodes to 59 131
+    # of the constant multiplier took it from 62 739 nodes to 59 131, and
+    # adding the rows from the top down to 47 195
     report = run_file(str(corpus / "fast_logcount_64.lisp"), mode="bdd")
     (thm,) = [e for e in report.events if e.kind == "theorem"]
     assert thm.result["status"] == "proved"
-    assert thm.stats["nodes"] <= 60_000
+    assert thm.stats["nodes"] <= 50_000
+
+
+def test_mul_comm_8_bdd_nodes(tmp_path):
+    # interleaved operands; top-down rows took it from 159 689 nodes to
+    # 64 412, where bottom-up sums share no partial sums across rows
+    f = tmp_path / "mul_comm.lisp"
+    f.write_text("(def-gl-thm mul-comm-8\n"
+                 "  :hyp (and (unsigned-byte-p 8 x) (unsigned-byte-p 8 y))\n"
+                 "  :concl (equal (* x y) (* y x))\n"
+                 "  :g-bindings `((x ,(g-int 0 2 9)) (y ,(g-int 1 2 9))))\n")
+    report = run_file(str(f), mode="bdd")
+    (thm,) = [e for e in report.events if e.kind == "theorem"]
+    assert thm.result["status"] == "proved"
+    assert thm.stats["nodes"] <= 80_000
 
 
 def test_logcount_exhaustive_signed_widths(ctx, eng):

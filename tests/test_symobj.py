@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from bitblast.engine import AigEngine, BddEngine
 from bitblast.errors import EvalError, IndeterminateError, ShapeError
 from bitblast.reader import read_one_value
 from bitblast.symobj import (
+    MAX_WIDTH,
     Concrete,
     ConsObj,
     GApply,
@@ -212,6 +214,17 @@ def test_g_int():
         g_int(0, 1, 0)
     with pytest.raises(ShapeError):
         g_int(2, -1, 5)  # would go negative
+    assert len(g_int(0, 1, MAX_WIDTH).bits) == MAX_WIDTH
+
+
+def test_g_int_width_is_refused_before_building():
+    # 1.4 billion indices would take over 11 GB to build
+    start = time.perf_counter()
+    with pytest.raises(ShapeError, match="wider than 65536 bits"):
+        g_int(0, 1, 0x55555555)
+    with pytest.raises(ShapeError, match="wider than 65536 bits"):
+        g_int(0, 1, MAX_WIDTH + 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_shape_to_symobj(eng):
