@@ -9,8 +9,9 @@ equivalence, by simulation and SAT sweeping on an incremental solver,
 and finds exact extreme witnesses and the hypothesis's forced constants
 (`forced_constants`) on that solver.  An AigStore is the proof engine
 of `aig` mode and owns the SatSweep of its queries, so one proof runs
-every SAT question on one solver.  `to_cnf` is a standalone Tseitin
-encoding into a `Cnf`; no proof uses it.
+every SAT question on one solver.  `tseitin` is the one Tseitin
+encoder: the sweep writes it into its solver, and `to_cnf` writes the
+same clauses into a `Cnf`.
 """
 
 import random
@@ -151,14 +152,13 @@ class AigStore:
         return x == FALSE
 
     def valid(self, x):
-        return not self._sweep.satisfiable(-x, self.sat_conflict_budget)
+        return not self._sweep.satisfiable(-x)
 
     def satisfiable(self, x):
-        return self._sweep.satisfiable(x, self.sat_conflict_budget)
+        return self._sweep.satisfiable(x)
 
     def witness(self, x, policy, indices=(), seed=0):
-        return self._sweep.witness(x, policy, indices, seed,
-                                   self.sat_conflict_budget)
+        return self._sweep.witness(x, policy, indices, seed)
 
     def sat_stats(self):
         return self._sweep.stats()
@@ -228,7 +228,7 @@ class AigStore:
         return -out if x < 0 else out
 
     def to_cnf(self, root):
-        """Tseitin transformation.
+        """The clauses `tseitin` gives root's cone, as a Cnf.
 
         Returns (Cnf, output-literal): root is satisfiable iff the
         clauses plus the output literal as a unit are satisfiable, and
@@ -237,25 +237,14 @@ class AigStore:
         """
         cnf = Cnf()
         if root == TRUE or root == FALSE:
-            v = cnf.fresh()
+            v = cnf.new_var()
             if root == FALSE:
                 cnf.clauses.append([-v])
             return cnf, v
-        lit = {}
-        for n in self._walk(root):
-            desc = self._nodes[n]
-            v = cnf.fresh()
-            lit[n] = v
-            if desc[0] == "var":
-                cnf.var_map[desc[1]] = v
-            else:
-                _, a, b = desc
-                la = lit[abs(a)] * (-1 if a < 0 else 1)
-                lb = lit[abs(b)] * (-1 if b < 0 else 1)
-                cnf.clauses.append([-v, la])
-                cnf.clauses.append([-v, lb])
-                cnf.clauses.append([v, -la, -lb])
-        out = lit[abs(root)]
+        var = {}
+        out = tseitin(self._nodes, var, cnf, abs(root))
+        cnf.var_map = {self._nodes[n][1]: v for n, v in var.items()
+                       if self._nodes[n][0] == "var"}
         return cnf, (-out if root < 0 else out)
 
 
@@ -267,9 +256,13 @@ class Cnf:
     clauses: list = field(default_factory=list)
     var_map: dict = field(default_factory=dict)
 
-    def fresh(self):
+    def new_var(self):
         self.num_vars += 1
         return self.num_vars
+
+    def add_clause(self, codes):
+        """Append a clause of literal codes as signed literals."""
+        self.clauses.append([-(c >> 1) if c & 1 else c >> 1 for c in codes])
 
     def to_dimacs(self):
         lines = ["p cnf %d %d" % (self.num_vars, len(self.clauses))]
@@ -303,6 +296,38 @@ def forced_constants(store, constraint, indices):
             if sweep._solve(constraint, -cone[i] if pol else cone[i]) is None:
                 forced[i] = pol
     return forced
+
+
+def tseitin(nodes, var, sink, root):
+    """Tseitin-encode the cone of node id `root` into `sink`, which
+    takes `new_var()` and `add_clause(codes)` over sat.py's literal
+    codes.  `var` maps each node id already encoded to its variable and
+    gains the new ones, children before parents.  Returns root's
+    variable."""
+    stack = [root]
+    while stack:
+        n = stack[-1]
+        if n in var:
+            stack.pop()
+            continue
+        desc = nodes[n]
+        if desc[0] == "and":
+            todo = [abs(c) for c in desc[1:] if abs(c) not in var]
+            if todo:
+                stack.extend(todo)
+                continue
+        stack.pop()
+        v = sink.new_var()
+        var[n] = v
+        if desc[0] == "const":
+            sink.add_clause([2 * v])
+        elif desc[0] == "and":
+            la = 2 * var[abs(desc[1])] + (desc[1] < 0)
+            lb = 2 * var[abs(desc[2])] + (desc[2] < 0)
+            sink.add_clause([2 * v + 1, la])
+            sink.add_clause([2 * v + 1, lb])
+            sink.add_clause([2 * v, la ^ 1, lb ^ 1])
+    return var[root]
 
 
 def _simulate(nodes, order, inputs, mask):
@@ -363,37 +388,8 @@ class SatSweep:
         n = abs(h)
         v = self._var.get(n)
         if v is None:
-            v = self._encode(n)
+            v = tseitin(self.store._nodes, self._var, self.solver, n)
         return 2 * v + (h < 0)
-
-    def _encode(self, root):
-        nodes = self.store._nodes
-        var = self._var
-        solver = self.solver
-        stack = [root]
-        while stack:
-            n = stack[-1]
-            if n in var:
-                stack.pop()
-                continue
-            desc = nodes[n]
-            if desc[0] == "and":
-                todo = [abs(c) for c in desc[1:] if abs(c) not in var]
-                if todo:
-                    stack.extend(todo)
-                    continue
-            stack.pop()
-            v = solver.new_var()
-            var[n] = v
-            if desc[0] == "const":
-                solver.add_clause([2 * v])
-            elif desc[0] == "and":
-                la = 2 * var[abs(desc[1])] + (desc[1] < 0)
-                lb = 2 * var[abs(desc[2])] + (desc[2] < 0)
-                solver.add_clause([2 * v + 1, la])
-                solver.add_clause([2 * v + 1, lb])
-                solver.add_clause([2 * v, la ^ 1, lb ^ 1])
-        return var[root]
 
     def _solve(self, *handles, prefer=()):
         """A model making every handle true, or None when there is none.
@@ -414,10 +410,10 @@ class SatSweep:
             return self._solve(h)
         return self._solve(h, -rep) or self._solve(-h, rep)
 
-    def satisfiable(self, root, conflict_budget=None):
+    def satisfiable(self, root):
         """Does some assignment make root true?  All solver conflicts of
-        the query count against conflict_budget; SatBudgetExceeded once
-        they pass it."""
+        the query count against the store's sat_conflict_budget;
+        SatBudgetExceeded once they pass it."""
         if root == TRUE or root == FALSE:
             return root == TRUE
         store = self.store
@@ -432,7 +428,7 @@ class SatSweep:
                         {n: rng.getrandbits(width) for n in inputs}, mask)
         if sig[abs(root)] != (mask if root < 0 else 0):
             return True
-        self._left = conflict_budget
+        self._left = store.sat_conflict_budget
         new = {1: TRUE}  # node id -> rebuilt handle of the same function
         classes = {}     # normalized signature -> first node id with it
         for i, n in enumerate(order):
@@ -489,7 +485,7 @@ class SatSweep:
             return out == TRUE
         return self._solve(out) is not None
 
-    def witness(self, root, policy, indices=(), seed=0, conflict_budget=None):
+    def witness(self, root, policy, indices=(), seed=0):
         """An assignment making root true, or None when there is none.
 
         It assigns root's input variables and every index in `indices`,
@@ -498,14 +494,15 @@ class SatSweep:
         cone keep their preferred value.  One solve under the root
         assumption with the inputs preferred in index order
         (Solver.solve's `prefer`) finds it; all its conflicts count
-        against conflict_budget, SatBudgetExceeded once they pass it.
+        against the store's sat_conflict_budget, SatBudgetExceeded once
+        they pass it.
         """
         cone = self.store._inputs(root)
         want = witness_preference(policy, cone.keys() | set(indices), seed)
         self._lit(root)  # encode the cone, giving each input a variable
         prefer = [2 * self._var[cone[i]] + (not b)
                   for i, b in want.items() if i in cone]
-        self._left = conflict_budget
+        self._left = self.store.sat_conflict_budget
         model = self._solve(root, prefer=prefer)
         if model is None:
             return None

@@ -28,7 +28,7 @@ from .concrete import (
 from .counterparts import SymbolicContext, apply_counterpart, has_counterpart
 from .errors import EvalError, IndeterminateError, StepLimitExceeded
 from .lang import Call, If, Let, Quote, Var, free_vars, render_term
-from .symobj import Concrete, GIte, merge_ite, truth_expr
+from .symobj import Concrete, GIte, merge_ite, render_symobj, truth_expr
 from .values import NIL, T, Cons, Symbol, print_value, values_equal
 
 TRACE_OFF = "off"
@@ -97,7 +97,8 @@ class Interp:
 
     def _on_g_apply(self, fn, args):
         from .errors import GApplyBreak
-        print("escape: (%s %s)" % (fn, " ".join(repr(a) for a in args)),
+        print("escape: (%s %s)" % (fn, " ".join(render_symobj(a, self.eng)
+                                                 for a in args)),
               file=self.state.trace_out)
         raise GApplyBreak(fn, args)
 

@@ -16,6 +16,7 @@ from itertools import count
 from .concrete import eval_concrete
 from .engine import make_engine
 from .errors import (
+    BlastError,
     EvalError,
     GApplyBreak,
     IndeterminateError,
@@ -523,7 +524,8 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
 
 
 def _example_values(objs, hyp_expr, indices, eng, defs):
-    """Best-effort sample assignment for indeterminate diagnostics."""
+    """Best-effort sample assignment for indeterminate diagnostics; None
+    when a budget, an escape or an evaluation error stops it."""
     try:
         if hyp_expr is not None:
             env = eng.witness(hyp_expr, "zeros", indices)
@@ -532,7 +534,7 @@ def _example_values(objs, hyp_expr, indices, eng, defs):
         if env is None:
             return None
         return {v: sym_eval(o, env, eng, defs=defs) for v, o in objs.items()}
-    except Exception:
+    except (BlastError, RecursionError):
         return None
 
 

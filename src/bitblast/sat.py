@@ -2,14 +2,12 @@
 
 First-UIP clause learning with recursive minimization, two watched
 literals, VSIDS, Luby restarts, reduction of the learnt clauses by
-literal block distance, and phase saving whose initial phases come
-from the polarity policy (zeros: decide false first, ones: true first,
-random: seeded).  The polarity policy is a decision preference only;
-an exact extreme model comes from `solve`'s `prefer` list, which is
-decided in order before any other decision, so the first model found
-is the lexicographic extreme in that order (aig.SatSweep.witness
-searches counterexamples this way).  Runs are deterministic for a
-fixed seed and budget.
+literal block distance, and phase saving with every phase false at
+first.  An exact extreme model comes from `solve`'s `prefer` list,
+which is decided in order before any other decision, so the first
+model found is the lexicographic extreme in that order
+(aig.SatSweep.witness searches counterexamples this way).  Runs are
+deterministic for a fixed budget.
 
 Literals are MiniSat codes: variable v (numbered from 1) has the
 positive literal 2v and the negative literal 2v + 1, so negation is
@@ -20,7 +18,6 @@ between calls, and learnt clauses carry over from call to call.
 `parse_dimacs` and `solve_cnf` serve `bitblast --solve-dimacs`.
 """
 
-import random
 from heapq import heapify, heappop, heappush
 
 from .errors import FileFormatError
@@ -56,13 +53,7 @@ def lit_code(lit):
 class Solver:
     """Incremental CDCL over literal codes; single-threaded."""
 
-    def __init__(self, polarity="zeros", seed=0):
-        if polarity not in ("zeros", "ones", "random"):
-            raise ValueError("unknown polarity policy %r" % (polarity,))
-        self.polarity = polarity
-        self._rng = random.Random(seed)
-        if polarity == "random":
-            self._rng.random()  # variable 0 is unused but takes a draw
+    def __init__(self):
         self.nvars = 0
         self.vals = [None, None]  # per literal code: True, False or None
         self.watches = [[], []]   # per literal code: clauses watching it
@@ -94,10 +85,7 @@ class Solver:
         self.activity.append(0.0)
         self.seen.append(False)
         self.heaped.append(0.0)
-        if self.polarity == "random":
-            self.phase.append(self._rng.random() < 0.5)
-        else:
-            self.phase.append(self.polarity == "ones")
+        self.phase.append(False)
         heappush(self.heap, (0.0, v))
         return v
 
@@ -439,15 +427,14 @@ class Solver:
             self._decide()
 
 
-def solve_cnf(num_vars, clauses, assumptions=(), conflict_budget=None,
-              polarity="zeros", seed=0):
+def solve_cnf(num_vars, clauses, assumptions=(), conflict_budget=None):
     """Complete decision for a clause set under unit assumptions.
 
     Clauses and assumptions are signed DIMACS literals.  Returns
     (SAT, model) with the model total over 1..num_vars, (UNSAT, None),
     or (BUDGET, None) once conflict_budget conflicts have been analyzed.
     """
-    solver = Solver(polarity, seed)
+    solver = Solver()
     for _ in range(num_vars):
         solver.new_var()
     for clause in clauses:

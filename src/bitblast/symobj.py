@@ -40,7 +40,7 @@ class SymObj:
     __slots__ = ()
 
     def __repr__(self):
-        return render_symobj(self)
+        return _render(self, str)
 
 
 class Concrete(SymObj):
@@ -311,16 +311,13 @@ def merge_ite(eng, test, then, els):
 
 # -- rendering ----------------------------------------------------------------
 
-def render_symobj(obj, eng=None):
+def render_symobj(obj, eng):
     """Compact diagnostic rendering; non-constant bits print as #."""
     def expr(e):
-        if eng is not None:
-            if eng.is_true(e):
-                return "t"
-            if eng.is_false(e):
-                return "nil"
-        elif e in (0, 1, -1):  # constants in either realization
-            return "t" if e == 1 else "nil"
+        if eng.is_true(e):
+            return "t"
+        if eng.is_false(e):
+            return "nil"
         return "#"
 
     return _render(obj, expr)
@@ -330,7 +327,7 @@ def print_form(v):
     """print_value for a bindings form whose leaves may be spliced shapes;
     a shape prints in the syntax it parses from, so (g-int 0 1 2) prints
     as (:g-number (0 1))."""
-    return print_value(v, lambda shape: _render(shape, str))
+    return print_value(v, repr)
 
 
 def _render(obj, expr):

@@ -9,7 +9,7 @@ as plain quoted shape forms.
 
 from dataclasses import dataclass
 
-from .errors import FileFormatError
+from .errors import FileFormatError, ShapeError
 from .lang import base_env, free_vars, parse_defun, parse_term
 from .prover import ParamTheoremSpec, TheoremSpec
 from .reader import read_values_with_pos
@@ -215,7 +215,10 @@ def _parse_theorem(form, items, line, own):
     fields = {"name": name, "hyp": parse_term(kwargs.pop(":hyp", T)),
               "concl": parse_term(kwargs.pop(":concl"))}
     for kw, field, parse in own:
-        fields[field] = parse(kwargs.pop(kw), line)
+        try:
+            fields[field] = parse(kwargs.pop(kw), line)
+        except ShapeError as e:
+            raise _form_error(str(e), line) from None
     fields.update(_common_options(kwargs, line))
     if kwargs:
         raise _form_error("unknown keywords %s in %s %s"

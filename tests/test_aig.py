@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from bitblast.aig import (
-    FALSE, SWEEP_STATS, TRUE, AigStore, forced_constants, witness_preference,
+    FALSE, SWEEP_STATS, TRUE, AigStore, SatSweep, forced_constants,
+    witness_preference,
 )
 from bitblast.bdd import BddStore
 from bitblast.engine import AigEngine
@@ -113,8 +114,7 @@ def test_tseitin_equisatisfiable_exhaustive():
         e = random_formula(rng, nvars, 5)
         node = build_formula(s, e)
         cnf, out = s.to_cnf(node)
-        kind, model = solve_cnf(cnf.num_vars, cnf.clauses, assumptions=[out],
-                                seed=trial)
+        kind, model = solve_cnf(cnf.num_vars, cnf.clauses, assumptions=[out])
         sat_by_eval = aig_tt(s, node, nvars) != 0
         assert (kind is SAT) == sat_by_eval, (trial, e)
         if kind is SAT:
@@ -122,6 +122,32 @@ def test_tseitin_equisatisfiable_exhaustive():
             for i in range(nvars):
                 env.setdefault(i, False)
             assert s.eval(node, env) is True
+
+
+def test_to_cnf_writes_the_clauses_the_sweep_gives_its_solver():
+    # one Tseitin encoder: to_cnf's clauses, numbering and var_map are
+    # those a proof's solver gets for the same root
+    def signed(code):
+        return -(code >> 1) if code & 1 else code >> 1
+
+    rng = random.Random(23)
+    s = AigStore()
+    for trial in range(150):
+        nvars = rng.randrange(1, 9)
+        node = build_formula(s, random_formula(rng, nvars, 5))
+        if node in (TRUE, FALSE):
+            continue
+        sweep = SatSweep(s)
+        given = []
+        add = sweep.solver.add_clause
+        sweep.solver.add_clause = lambda codes: (
+            given.append([signed(c) for c in codes]), add(codes))
+        code = sweep._lit(node)
+        cnf, out = s.to_cnf(node)
+        assert cnf.clauses == given, trial
+        assert (cnf.num_vars, out) == (sweep.solver.nvars, signed(code))
+        assert cnf.var_map == {i: sweep._var[n]
+                               for i, n in s._inputs(node).items()}
 
 
 def test_dimacs_round_trip():
@@ -259,8 +285,8 @@ def test_cross_check_with_canonical_engine():
             aig_equiv = False
         else:
             cnf, out = as_.to_cnf(miter)
-            kind, _ = solve_cnf(cnf.num_vars, cnf.clauses, assumptions=[out],
-                                seed=trial)
+            kind, _ = solve_cnf(cnf.num_vars, cnf.clauses,
+                                assumptions=[out])
             aig_equiv = kind is UNSAT
         assert bdd_equiv == aig_equiv, (trial, e1, e2)
 

@@ -115,6 +115,17 @@ def test_bad_binding_is_a_parse_error(tmp_path, bindings, message):
     assert err.startswith("parse error:") and message in err
 
 
+@pytest.mark.parametrize("bindings, message", [
+    ("((x (:g-number ,(g-int 0 1 2))))", "malformed index list: "),
+    ("((x (:g-number (0 0))))", "duplicate index in number shape"),
+    ("((x ,(g-int 0 0 5)))", "index step must be nonzero"),
+])
+def test_shape_error_names_its_line(tmp_path, bindings, message):
+    rc, out, err = run_cli([_bindings_file(tmp_path, bindings)])
+    assert rc == 3 and out == ""
+    assert err.startswith("parse error: 1: " + message)
+
+
 def test_shape_as_a_case_value_is_a_parse_error(tmp_path):
     f = tmp_path / "p.lisp"
     f.write_text("(def-gl-param-thm p :hyp t :concl (equal x x)\n"
@@ -250,7 +261,7 @@ def test_solve_dimacs_flag(tmp_path):
 
 
 def test_solve_dimacs_ignores_the_seed(tmp_path):
-    # the solver runs with its default polarity, so --seed picks nothing
+    # the solver has no seed, so --seed changes nothing
     f = tmp_path / "sat.cnf"
     f.write_text("p cnf 3 3\n1 2 3 0\n-1 -2 0\n-3 2 0\n")
     outs = {run_cli(["--solve-dimacs", str(f)] + seed)[1]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import bitblast.prover as prover
+from bitblast.cli import run_file
 from bitblast.concrete import eval_concrete
 from bitblast.engine import AigEngine, BddEngine
 from bitblast.errors import EvalError
@@ -355,6 +356,17 @@ def test_indeterminate_rational_multiply(defs):
     assert r.kind == "indeterminate"
     assert "binary-*" in r.offender
     assert r.examples is not None
+
+
+@pytest.mark.parametrize("mode", ["bdd", "aig"])
+def test_a_bug_in_the_example_search_is_not_swallowed(corpus, monkeypatch,
+                                                      mode):
+    def broken(*args, **kwargs):
+        raise TypeError("broken sym_eval")
+
+    monkeypatch.setattr(prover, "sym_eval", broken)
+    with pytest.raises(TypeError, match="broken sym_eval"):
+        run_file(str(corpus / "integer_half.lisp"), mode=mode)
 
 
 def test_coverage_failure_comes_after_symbolic_success(defs):

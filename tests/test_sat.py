@@ -53,7 +53,7 @@ def test_model_soundness_and_completeness_1000():
     rng = random.Random(2024)
     for trial in range(1000):
         nv, clauses = random_cnf(rng)
-        kind, model = solve_cnf(nv, clauses, seed=trial)
+        kind, model = solve_cnf(nv, clauses)
         brute_sat = clauses_tt(clauses, nv) != 0
         assert (kind is SAT) == brute_sat, (trial, clauses)
         if kind is SAT:
@@ -67,8 +67,8 @@ def test_determinism():
     rng = random.Random(5)
     for trial in range(50):
         nv, clauses = random_cnf(rng)
-        a = solve_cnf(nv, clauses, seed=9, polarity="random")
-        b = solve_cnf(nv, clauses, seed=9, polarity="random")
+        a = solve_cnf(nv, clauses)
+        b = solve_cnf(nv, clauses)
         assert a == b
 
 
@@ -102,7 +102,7 @@ def test_witness_policies():
 
 def test_witness_budget_exhaustion():
     # pigeonhole 7/6 as an AIG: every pigeon in a hole, no hole shared
-    store = AigStore()
+    store = AigStore(sat_conflict_budget=5)
     p = [[store.var(i * 6 + j) for j in range(6)] for i in range(7)]
     root = TRUE
     for row in p:
@@ -116,7 +116,7 @@ def test_witness_budget_exhaustion():
                 root = store.and_(root,
                                   store.not_(store.and_(p[i1][j], p[i2][j])))
     with pytest.raises(SatBudgetExceeded):
-        SatSweep(store).witness(root, "zeros", [], conflict_budget=5)
+        SatSweep(store).witness(root, "zeros", [])
 
 
 def _extreme_models(tt, nvars, prefer):
@@ -135,7 +135,7 @@ def test_prefer_gives_the_lexicographic_extreme_model():
     rng = random.Random(91)
     for trial in range(300):
         nv, clauses = random_cnf(rng, max_clauses=24)
-        solver = Solver(seed=trial)
+        solver = Solver()
         for _ in range(nv):
             solver.new_var()
         for clause in clauses:
@@ -204,7 +204,7 @@ def test_incremental_solver_agrees_with_enumeration_and_fresh_solves():
     rng = random.Random(77)
     for trial in range(300):
         nv, clauses = random_cnf(rng, max_clauses=24)
-        solver = Solver(seed=trial)
+        solver = Solver()
         for _ in range(nv):
             solver.new_var()
         added = []

@@ -217,6 +217,12 @@ def test_g_int():
     assert len(g_int(0, 1, MAX_WIDTH).bits) == MAX_WIDTH
 
 
+def test_a_shape_repr_shows_its_own_indices():
+    assert repr(g_int(0, 1, 3)) == "(:g-number (0 1 2))"
+    shape = parse_shape(read_one_value("(:g-ite (:g-boolean . 3) 1/2 . nil)"))
+    assert repr(shape) == "(:g-ite (:g-boolean . 3) 1/2 . nil)"
+
+
 def test_g_int_width_is_refused_before_building():
     # 1.4 billion indices would take over 11 GB to build
     start = time.perf_counter()
