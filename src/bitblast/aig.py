@@ -4,18 +4,16 @@ Nodes are signed integer handles: 1 is the constant true, negation is
 sign flip, and positive handles above 1 name variable or AND nodes in
 the store.  The only rewrites are the local ones: double negation,
 and with a constant, and of equal or complementary children.  AIGs are
-not canonical; `SatSweep` decides satisfiability, and with it
-equivalence, by simulation and SAT sweeping on an incremental solver,
-and finds exact extreme witnesses and the hypothesis's forced constants
-(`forced_constants`) on that solver.  An AigStore is the proof engine
-of `aig` mode and owns the SatSweep of its queries, so one proof runs
-every SAT question on one solver.  `tseitin` is the one Tseitin
-encoder: the sweep writes it into its solver, and `to_cnf` writes the
-same clauses into a `Cnf`.
+not canonical; an AigStore decides satisfiability, and with it
+equivalence, by simulation and SAT sweeping on its own incremental
+solver, and finds exact extreme witnesses and the hypothesis's forced
+constants (`forced_constants`) on that solver.  An AigStore is the
+proof engine of `aig` mode, so one proof runs every SAT question on
+one solver.  `tseitin` is the one Tseitin encoder: the store writes it
+into its solver, and `to_cnf` writes the same clauses into a `Cnf`.
 """
 
 import random
-import weakref
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -35,7 +33,7 @@ DEFAULT_SAT_CONFLICT_BUDGET = 2_000_000
 SIM_BITS = 256       # random input patterns simulated per sweep
 SIM_SEED = 0x5EE9    # fixed, so every sweep of a query is reproducible
 
-# the integer counters a SatSweep reports, in report order
+# the integer counters AigStore.sat_stats reports, in report order
 SWEEP_STATS = ("sat_calls", "sat_conflicts", "sweep_candidates",
                "sweep_merges", "sweep_refuted")
 
@@ -53,13 +51,27 @@ def witness_preference(policy, indices, seed=0):
 
 
 class AigStore:
-    """One AIG universe; single-threaded, never share handles across stores.
+    """One AIG universe and the incremental solver that decides its
+    queries; single-threaded, never share handles across stores.
 
-    The store is the engine of `aig` mode (see engine.py); its own
-    SatSweep decides the queries, each within `sat_conflict_budget`
-    conflicts.  Internal calls never use the public operation names, so
-    a wrapper patched over one on an instance sees only the calls from
-    outside.
+    The store is the engine of `aig` mode (see engine.py).  A query is
+    first simulated on SIM_BITS seeded random patterns; a pattern that
+    makes the root true answers SAT with no search.  Otherwise the
+    root's cone is rebuilt bottom-up (SAT sweeping, as in FRAIGs): a
+    node whose simulation signature matches an earlier node, or a
+    constant, is merged into it only once the solver proves the two
+    equivalent under assumptions.  A refuted candidate stays unmerged
+    and its model becomes one more simulation pattern, which splits the
+    classes it did not fit.  The rebuilt root is then a constant, or one
+    last solve under the root assumption decides it.
+
+    `witness` searches satisfying assignments on the same solver, and
+    `forced_constants` probes its inputs there.  The solver keeps the
+    Tseitin clauses of every node it was asked about, and its learnt
+    clauses, from one query to the next; each query may spend
+    `sat_conflict_budget` conflicts.  Internal calls never use the
+    public operation names, so a wrapper patched over one on an instance
+    sees only the calls from outside.
     """
 
     mode = "aig"
@@ -73,9 +85,12 @@ class AigStore:
         self._and_unique = {}
         self.node_budget = node_budget
         self.sat_conflict_budget = sat_conflict_budget
-        # a proxy, so that store and sweep form no reference cycle and a
-        # finished proof's store is freed at once
-        self._sweep = SatSweep(weakref.proxy(self))
+        self.solver = Solver()
+        self._var = {}  # positive node id -> solver variable
+        self._candidates = 0
+        self._merges = 0
+        self._refuted = 0
+        self._left = None  # conflicts the current query may still spend
 
     @property
     def store(self):
@@ -152,16 +167,13 @@ class AigStore:
         return x == FALSE
 
     def valid(self, x):
-        return not self._sweep.satisfiable(-x)
-
-    def satisfiable(self, x):
-        return self._sweep.satisfiable(x)
-
-    def witness(self, x, policy, indices=(), seed=0):
-        return self._sweep.witness(x, policy, indices, seed)
+        return not self._satisfiable(-x)
 
     def sat_stats(self):
-        return self._sweep.stats()
+        """The SWEEP_STATS counters, over the life of this store."""
+        return dict(zip(SWEEP_STATS, (
+            self.solver.calls, self.solver.conflicts, self._candidates,
+            self._merges, self._refuted)))
 
     def _walk(self, root):
         """Positive node ids reachable from root, children first."""
@@ -247,6 +259,133 @@ class AigStore:
                        if self._nodes[n][0] == "var"}
         return cnf, (-out if root < 0 else out)
 
+    def _lit(self, h):
+        """Solver literal code of a signed handle, encoding its cone."""
+        n = abs(h)
+        v = self._var.get(n)
+        if v is None:
+            v = tseitin(self._nodes, self._var, self.solver, n)
+        return 2 * v + (h < 0)
+
+    def _solve(self, *handles, prefer=()):
+        """A model making every handle true, or None when there is none.
+        `prefer` is passed to Solver.solve."""
+        solver = self.solver
+        before = solver.conflicts
+        kind, model = solver.solve([self._lit(h) for h in handles],
+                                   self._left, prefer)
+        if self._left is not None:
+            self._left -= solver.conflicts - before
+        if kind is BUDGET:
+            raise SatBudgetExceeded("SAT conflict budget exhausted")
+        return model
+
+    def _refute(self, h, rep):
+        """A model on which handle h differs from rep, or None."""
+        if rep == FALSE:
+            return self._solve(h)
+        return self._solve(h, -rep) or self._solve(-h, rep)
+
+    def _satisfiable(self, root):
+        """Does some assignment make root true?  All solver conflicts of
+        the query count against sat_conflict_budget; SatBudgetExceeded
+        once they pass it."""
+        if root == TRUE or root == FALSE:
+            return root == TRUE
+        nodes = self._nodes
+        and_ = self._and
+        order = self._walk(root)
+        rng = random.Random(SIM_SEED)
+        width = SIM_BITS
+        mask = (1 << width) - 1
+        inputs = [n for n in order if nodes[n][0] == "var"]
+        sig = _simulate(nodes, order,
+                        {n: rng.getrandbits(width) for n in inputs}, mask)
+        if sig[abs(root)] != (mask if root < 0 else 0):
+            return True
+        self._left = self.sat_conflict_budget
+        new = {1: TRUE}  # node id -> rebuilt handle of the same function
+        classes = {}     # normalized signature -> first node id with it
+        for i, n in enumerate(order):
+            desc = nodes[n]
+            if desc[0] == "var":
+                h = n
+            else:
+                _, a, b = desc
+                h = and_(new[a] if a > 0 else -new[-a],
+                         new[b] if b > 0 else -new[-b])
+            new[n] = h
+            if h == TRUE or h == FALSE:
+                continue
+            while True:
+                # normalize so bit 0 is clear: complements share a class
+                s = sig[n]
+                flip = s & 1
+                key = s ^ mask if flip else s
+                hn = -h if flip else h
+                if key == 0:
+                    rep = FALSE
+                else:
+                    first = classes.setdefault(key, n)
+                    if first == n:
+                        break
+                    rep = -new[first] if sig[first] & 1 else new[first]
+                if rep == hn:
+                    break
+                self._candidates += 1
+                model = self._refute(hn, rep)
+                if model is None:
+                    self._merges += 1
+                    new[n] = -rep if flip else rep
+                    break
+                self._refuted += 1
+                # inputs the solver never saw cannot tell h from rep
+                bits = _simulate(nodes, order, {
+                    m: int(model[self._var[m]]) if m in self._var else 0
+                    for m in inputs}, 1)
+                if bits[abs(root)] != (root < 0):
+                    return True
+                for m in order:
+                    sig[m] |= bits[m] << width
+                width += 1
+                mask = (1 << width) - 1
+                classes = {}
+                for m in order[:i]:
+                    s = sig[m]
+                    if new[m] not in (TRUE, FALSE):
+                        classes.setdefault(s ^ mask if s & 1 else s, m)
+        out = new[abs(root)]
+        out = -out if root < 0 else out
+        if out == TRUE or out == FALSE:
+            return out == TRUE
+        return self._solve(out) is not None
+
+    satisfiable = _satisfiable
+
+    def witness(self, root, policy, indices=(), seed=0):
+        """An assignment making root true, or None when there is none.
+
+        It assigns root's input variables and every index in `indices`,
+        and is the lexicographic extreme (variables read in increasing
+        index order) towards witness_preference; indices outside root's
+        cone keep their preferred value.  One solve under the root
+        assumption with the inputs preferred in index order
+        (Solver.solve's `prefer`) finds it; all its conflicts count
+        against sat_conflict_budget, SatBudgetExceeded once they pass
+        it.
+        """
+        cone = self._inputs(root)
+        want = witness_preference(policy, cone.keys() | set(indices), seed)
+        self._lit(root)  # encode the cone, giving each input a variable
+        prefer = [2 * self._var[cone[i]] + (not b)
+                  for i, b in want.items() if i in cone]
+        self._left = self.sat_conflict_budget
+        model = self._solve(root, prefer=prefer)
+        if model is None:
+            return None
+        return {i: model[self._var[cone[i]]] if i in cone else b
+                for i, b in want.items()}
+
 
 @dataclass
 class Cnf:
@@ -276,24 +415,23 @@ def forced_constants(store, constraint, indices):
     assignment making the constraint true gives the same value; indices
     outside the constraint's cone are never forced.
 
-    It runs on the store's SatSweep: one solve finds a model of the
+    It runs on the store's solver: one solve finds a model of the
     constraint, then one solve per cone input assumes the polarity
     opposite to the model's, and where none exists the input is forced.
     All their conflicts count against the store's sat_conflict_budget
     together, SatBudgetExceeded once they pass it; UnsatConstraint when
     the constraint has no model.
     """
-    sweep = store._sweep
     cone = store._inputs(constraint)
-    sweep._left = store.sat_conflict_budget
-    model = sweep._solve(constraint)
+    store._left = store.sat_conflict_budget
+    model = store._solve(constraint)
     if model is None:
         raise UnsatConstraint("hypothesis constraint is unsatisfiable")
     forced = {}
     for i in indices:
         if i in cone:
-            pol = model[sweep._var[cone[i]]]
-            if sweep._solve(constraint, -cone[i] if pol else cone[i]) is None:
+            pol = model[store._var[cone[i]]]
+            if store._solve(constraint, -cone[i] if pol else cone[i]) is None:
                 forced[i] = pol
     return forced
 
@@ -347,164 +485,3 @@ def _simulate(nodes, order, inputs, mask):
             vb = sig[b] if b > 0 else mask ^ sig[-b]
             sig[n] = va & vb
     return sig
-
-
-class SatSweep:
-    """Decides satisfiability of AIG nodes on one incremental solver.
-
-    A query is first simulated on SIM_BITS seeded random patterns; a
-    pattern that makes the root true answers SAT with no search.
-    Otherwise the root's cone is rebuilt bottom-up (SAT sweeping, as in
-    FRAIGs): a node whose simulation signature matches an earlier node,
-    or a constant, is merged into it only once the solver proves the
-    two equivalent under assumptions.  A refuted candidate stays
-    unmerged and its model becomes one more simulation pattern, which
-    splits the classes it did not fit.  The rebuilt root is then a
-    constant, or one last solve under the root assumption decides it.
-
-    `witness` searches satisfying assignments on the same solver, and
-    `forced_constants` probes its inputs there.  The solver keeps the
-    Tseitin clauses of every node it was asked about, and its learnt
-    clauses, from one query to the next.
-    """
-
-    def __init__(self, store):
-        self.store = store
-        self.solver = Solver()
-        self._var = {}  # positive node id -> solver variable
-        self.candidates = 0
-        self.merges = 0
-        self.refuted = 0
-        self._left = None  # conflicts the current query may still spend
-
-    def stats(self):
-        """The SWEEP_STATS counters, over the life of this sweep."""
-        return dict(zip(SWEEP_STATS, (
-            self.solver.calls, self.solver.conflicts, self.candidates,
-            self.merges, self.refuted)))
-
-    def _lit(self, h):
-        """Solver literal code of a signed handle, encoding its cone."""
-        n = abs(h)
-        v = self._var.get(n)
-        if v is None:
-            v = tseitin(self.store._nodes, self._var, self.solver, n)
-        return 2 * v + (h < 0)
-
-    def _solve(self, *handles, prefer=()):
-        """A model making every handle true, or None when there is none.
-        `prefer` is passed to Solver.solve."""
-        solver = self.solver
-        before = solver.conflicts
-        kind, model = solver.solve([self._lit(h) for h in handles],
-                                   self._left, prefer)
-        if self._left is not None:
-            self._left -= solver.conflicts - before
-        if kind is BUDGET:
-            raise SatBudgetExceeded("SAT conflict budget exhausted")
-        return model
-
-    def _refute(self, h, rep):
-        """A model on which handle h differs from rep, or None."""
-        if rep == FALSE:
-            return self._solve(h)
-        return self._solve(h, -rep) or self._solve(-h, rep)
-
-    def satisfiable(self, root):
-        """Does some assignment make root true?  All solver conflicts of
-        the query count against the store's sat_conflict_budget;
-        SatBudgetExceeded once they pass it."""
-        if root == TRUE or root == FALSE:
-            return root == TRUE
-        store = self.store
-        nodes = store._nodes
-        and_ = store._and
-        order = store._walk(root)
-        rng = random.Random(SIM_SEED)
-        width = SIM_BITS
-        mask = (1 << width) - 1
-        inputs = [n for n in order if nodes[n][0] == "var"]
-        sig = _simulate(nodes, order,
-                        {n: rng.getrandbits(width) for n in inputs}, mask)
-        if sig[abs(root)] != (mask if root < 0 else 0):
-            return True
-        self._left = store.sat_conflict_budget
-        new = {1: TRUE}  # node id -> rebuilt handle of the same function
-        classes = {}     # normalized signature -> first node id with it
-        for i, n in enumerate(order):
-            desc = nodes[n]
-            if desc[0] == "var":
-                h = n
-            else:
-                _, a, b = desc
-                h = and_(new[a] if a > 0 else -new[-a],
-                         new[b] if b > 0 else -new[-b])
-            new[n] = h
-            if h == TRUE or h == FALSE:
-                continue
-            while True:
-                # normalize so bit 0 is clear: complements share a class
-                s = sig[n]
-                flip = s & 1
-                key = s ^ mask if flip else s
-                hn = -h if flip else h
-                if key == 0:
-                    rep = FALSE
-                else:
-                    first = classes.setdefault(key, n)
-                    if first == n:
-                        break
-                    rep = -new[first] if sig[first] & 1 else new[first]
-                if rep == hn:
-                    break
-                self.candidates += 1
-                model = self._refute(hn, rep)
-                if model is None:
-                    self.merges += 1
-                    new[n] = -rep if flip else rep
-                    break
-                self.refuted += 1
-                # inputs the solver never saw cannot tell h from rep
-                bits = _simulate(nodes, order, {
-                    m: int(model[self._var[m]]) if m in self._var else 0
-                    for m in inputs}, 1)
-                if bits[abs(root)] != (root < 0):
-                    return True
-                for m in order:
-                    sig[m] |= bits[m] << width
-                width += 1
-                mask = (1 << width) - 1
-                classes = {}
-                for m in order[:i]:
-                    s = sig[m]
-                    if new[m] not in (TRUE, FALSE):
-                        classes.setdefault(s ^ mask if s & 1 else s, m)
-        out = new[abs(root)]
-        out = -out if root < 0 else out
-        if out == TRUE or out == FALSE:
-            return out == TRUE
-        return self._solve(out) is not None
-
-    def witness(self, root, policy, indices=(), seed=0):
-        """An assignment making root true, or None when there is none.
-
-        It assigns root's input variables and every index in `indices`,
-        and is the lexicographic extreme (variables read in increasing
-        index order) towards witness_preference; indices outside root's
-        cone keep their preferred value.  One solve under the root
-        assumption with the inputs preferred in index order
-        (Solver.solve's `prefer`) finds it; all its conflicts count
-        against the store's sat_conflict_budget, SatBudgetExceeded once
-        they pass it.
-        """
-        cone = self.store._inputs(root)
-        want = witness_preference(policy, cone.keys() | set(indices), seed)
-        self._lit(root)  # encode the cone, giving each input a variable
-        prefer = [2 * self._var[cone[i]] + (not b)
-                  for i, b in want.items() if i in cone]
-        self._left = self.store.sat_conflict_budget
-        model = self._solve(root, prefer=prefer)
-        if model is None:
-            return None
-        return {i: model[self._var[cone[i]]] if i in cone else b
-                for i, b in want.items()}

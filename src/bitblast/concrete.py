@@ -180,8 +180,7 @@ class StepCounter:
 
 def eval_concrete(term, env, defs, step_limit=DEFAULT_STEP_LIMIT):
     """Call-by-value evaluation of a closed term over a definition table."""
-    steps = step_limit if isinstance(step_limit, StepCounter) else StepCounter(step_limit)
-    return _eval(term, env, defs, steps)
+    return _eval(term, env, defs, StepCounter(step_limit))
 
 
 def _eval(term, env, defs, steps):

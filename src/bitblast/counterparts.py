@@ -75,15 +75,9 @@ def _arith_bits(obj, eng):
 
 def _int_bits(obj, eng):
     """Bits under integer coercion: every non-integer acts as 0."""
-    if isinstance(obj, GNumber):
-        return obj.bits
-    if isinstance(obj, Concrete):
-        if is_integer(obj.value):
-            return const_bits(obj.value, eng)
+    if isinstance(obj, Concrete) and not is_integer(obj.value):
         return (eng.false,)
-    if isinstance(obj, (GBoolean, ConsObj)):
-        return (eng.false,)
-    return None
+    return _arith_bits(obj, eng)
 
 
 # -- adders -------------------------------------------------------------------

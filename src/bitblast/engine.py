@@ -5,9 +5,9 @@ themselves: `mode`, `true`/`false`, `const`, `var`, `not_`, `and_`,
 `or_`, `xor_`, `iff_`, `ite`, `is_true`/`is_false`, `eval`, `support`,
 `valid`, `satisfiable`, `witness`, `sat_stats` and `num_nodes`.  The
 BDD store decides validity by node identity and reads witnesses off a
-path; the AIG store decides it by simulation and SAT sweeping on one
-incremental solver (aig.SatSweep), and searches witnesses on that same
-solver, one solve per policy.  For every policy both give the same
+path; the AIG store decides it by simulation and SAT sweeping on its
+one incremental solver, and searches witnesses on that same solver,
+one solve per policy.  For every policy both give the same
 witness: the lexicographic extreme towards aig.witness_preference.
 Stores are single-threaded.
 """

@@ -6,7 +6,7 @@ literal block distance, and phase saving with every phase false at
 first.  An exact extreme model comes from `solve`'s `prefer` list,
 which is decided in order before any other decision, so the first
 model found is the lexicographic extreme in that order
-(aig.SatSweep.witness searches counterexamples this way).  Runs are
+(aig.AigStore.witness searches counterexamples this way).  Runs are
 deterministic for a fixed budget.
 
 Literals are MiniSat codes: variable v (numbered from 1) has the

@@ -9,7 +9,7 @@ as plain quoted shape forms.
 
 from dataclasses import dataclass
 
-from .errors import FileFormatError, ShapeError
+from .errors import FileFormatError
 from .lang import base_env, free_vars, parse_defun, parse_term
 from .prover import ParamTheoremSpec, TheoremSpec
 from .reader import read_values_with_pos
@@ -49,73 +49,69 @@ class TheoremEvent:
     line: int
 
 
-def _form_error(msg, line):
-    return FileFormatError("%d: %s" % (line, msg))
-
-
 # -- binding resolution -------------------------------------------------------
 
 _GINT = Symbol("g-int")
 
 
-def _eval_binding_builder(v, line):
+def _eval_binding_builder(v):
     """Evaluate an unquoted expression inside a bindings form."""
     if isinstance(v, Cons) and v.car is _GINT:
         args, tail = list_elements(v.cdr)
         if tail is not NIL or len(args) != 3 or not all(is_integer(a) for a in args):
-            raise _form_error("g-int wants three integer arguments: %s"
-                              % print_value(v), line)
+            raise FileFormatError("g-int wants three integer arguments: %s"
+                                  % print_value(v))
         return g_int(args[0], args[1], args[2])
     if isinstance(v, Cons) or (isinstance(v, Symbol) and v is not NIL
                                and v is not T):
-        raise _form_error("cannot evaluate binding expression %s"
-                          % print_value(v), line)
+        raise FileFormatError("cannot evaluate binding expression %s"
+                              % print_value(v))
     return v
 
 
-def _resolve_bindings_value(v, line, in_quasi=False):
+def _resolve_bindings_value(v, in_quasi=False):
     """Strip quote/quasiquote sugar and resolve unquoted builder calls,
     leaving a tree of values (with g-int shapes spliced in)."""
     if isinstance(v, Cons):
         if v.car is QUASIQUOTE and isinstance(v.cdr, Cons) and v.cdr.cdr is NIL:
-            return _resolve_bindings_value(v.cdr.car, line, True)
+            return _resolve_bindings_value(v.cdr.car, True)
         if v.car is QUOTE and isinstance(v.cdr, Cons) and v.cdr.cdr is NIL:
-            return _resolve_bindings_value(v.cdr.car, line, in_quasi)
+            return _resolve_bindings_value(v.cdr.car, in_quasi)
         if v.car is UNQUOTE and isinstance(v.cdr, Cons) and v.cdr.cdr is NIL:
             if not in_quasi:
-                raise _form_error("comma outside backquote in bindings", line)
-            return _eval_binding_builder(v.cdr.car, line)
-        return Cons(_resolve_bindings_value(v.car, line, in_quasi),
-                    _resolve_bindings_value(v.cdr, line, in_quasi))
+                raise FileFormatError("comma outside backquote in bindings")
+            return _eval_binding_builder(v.cdr.car)
+        return Cons(_resolve_bindings_value(v.car, in_quasi),
+                    _resolve_bindings_value(v.cdr, in_quasi))
     return v
 
 
-def _binding_dict(v, line, parse_value=parse_shape):
+def _binding_dict(v, parse_value=parse_shape):
     """A resolved list ((var x) ...) -> ordered dict var name ->
     parse_value(x), binding each variable once."""
     entries, tail = list_elements(v)
     if tail is not NIL:
-        raise _form_error("malformed bindings: %s" % print_form(v), line)
+        raise FileFormatError("malformed bindings: %s" % print_form(v))
     out = {}
     for entry in entries:
         pair, ptail = list_elements(entry)
         if ptail is not NIL or len(pair) != 2 or not isinstance(pair[0], Symbol):
-            raise _form_error("binding entries look like (var value), not %s"
-                              % print_form(entry), line)
+            raise FileFormatError("binding entries look like (var value), not %s"
+                                  % print_form(entry))
         name = pair[0].name
         if name in out:
-            raise _form_error("duplicate binding for %s" % name, line)
+            raise FileFormatError("duplicate binding for %s" % name)
         out[name] = parse_value(pair[1])
     return out
 
 
-def parse_bindings(v, line):
+def parse_bindings(v):
     """((var shape) ...) -> ordered dict var name -> shape (a symbolic
     object with variable indices at its leaves)."""
-    return _binding_dict(_resolve_bindings_value(v, line), line)
+    return _binding_dict(_resolve_bindings_value(v))
 
 
-def _case_value(value, line):
+def _case_value(value):
     """A case variable's value, which must not hold a spliced shape."""
     stack = [value]
     while stack:
@@ -123,77 +119,75 @@ def _case_value(value, line):
         if isinstance(v, Cons):
             stack += (v.car, v.cdr)
         elif isinstance(v, SymObj):
-            raise _form_error("case variables take values, not shapes: %s"
-                              % print_form(value), line)
+            raise FileFormatError("case variables take values, not shapes: %s"
+                                  % print_form(value))
     return value
 
 
-def parse_param_bindings(v, line):
+def parse_param_bindings(v):
     """(((case assignment) (bindings)) ...) -> [(var -> value, bindings)]."""
-    entries, tail = list_elements(_resolve_bindings_value(v, line))
+    entries, tail = list_elements(_resolve_bindings_value(v))
     if tail is not NIL or not entries:
-        raise _form_error("malformed :param-bindings", line)
+        raise FileFormatError("malformed :param-bindings")
     out = []
     for entry in entries:
         parts, ptail = list_elements(entry)
         if ptail is not NIL or len(parts) != 2:
-            raise _form_error(
-                ":param-bindings entries look like ((assignment) (bindings))",
-                line)
-        assignment = _binding_dict(parts[0], line,
-                                   lambda value: _case_value(value, line))
+            raise FileFormatError(
+                ":param-bindings entries look like ((assignment) (bindings))")
+        assignment = _binding_dict(parts[0], _case_value)
         if out and set(assignment) != set(out[0][0]):
-            raise _form_error("every case must bind the same case variables",
-                              line)
-        out.append((assignment, _binding_dict(parts[1], line)))
+            raise FileFormatError(
+                "every case must bind the same case variables")
+        out.append((assignment, _binding_dict(parts[1])))
     return out
 
 
 # -- keyword plumbing ---------------------------------------------------------
 
-def _keyword_args(items, line):
+def _keyword_args(items):
     if len(items) % 2 != 0:
-        raise _form_error("keyword arguments come in pairs", line)
+        raise FileFormatError("keyword arguments come in pairs")
     out = {}
     for i in range(0, len(items), 2):
         kw = items[i]
         if not isinstance(kw, Symbol) or not kw.name.startswith(":"):
-            raise _form_error("expected a keyword, got %s" % print_value(kw),
-                              line)
+            raise FileFormatError("expected a keyword, got %s"
+                                  % print_value(kw))
         if kw.name in out:
-            raise _form_error("duplicate keyword %s" % kw.name, line)
+            raise FileFormatError("duplicate keyword %s" % kw.name)
         out[kw.name] = items[i + 1]
     return out
 
 
-def _parse_symbol_list(v, line, what):
+def _parse_symbol_list(v, what):
     if isinstance(v, Cons) and v.car is QUOTE and isinstance(v.cdr, Cons):
         v = v.cdr.car
     items, tail = list_elements(v)
     if tail is not NIL or not all(isinstance(s, Symbol) for s in items):
-        raise _form_error("%s wants a list of function names" % what, line)
+        raise FileFormatError("%s wants a list of function names" % what)
     return frozenset(s.name for s in items)
 
 
-def _common_options(kwargs, line):
+def _common_options(kwargs):
     opts = {}
     if ":mode" in kwargs:
         mode = kwargs.pop(":mode")
         if not isinstance(mode, Symbol) or mode.name not in ("bdd", "aig"):
-            raise _form_error(":mode is bdd or aig", line)
+            raise FileFormatError(":mode is bdd or aig")
         opts["mode"] = mode.name
     if ":do-not-expand" in kwargs:
         opts["do_not_expand"] = _parse_symbol_list(
-            kwargs.pop(":do-not-expand"), line, ":do-not-expand")
+            kwargs.pop(":do-not-expand"), ":do-not-expand")
     if ":counterexamples" in kwargs:
         n = kwargs.pop(":counterexamples")
         if not is_integer(n) or n < 1:
-            raise _form_error(":counterexamples wants a positive count", line)
+            raise FileFormatError(":counterexamples wants a positive count")
         opts["counterexample_count"] = n
     if ":seed" in kwargs:
         n = kwargs.pop(":seed")
         if not is_integer(n):
-            raise _form_error(":seed wants an integer", line)
+            raise FileFormatError(":seed wants an integer")
         opts["seed"] = n
     if ":test-side-goals" in kwargs:
         opts["coverage_only"] = kwargs.pop(":test-side-goals") is not NIL
@@ -201,64 +195,61 @@ def _common_options(kwargs, line):
     return opts
 
 
-def _parse_theorem(form, items, line, own):
+def _parse_theorem(form, items, own):
     """The keyword fields of a theorem form: its name, `:hyp`, `:concl`,
     the common options, and each (keyword, field, parser) in `own`, all
     of which are required."""
     if not items or not isinstance(items[0], Symbol):
-        raise _form_error("%s wants a name" % form, line)
+        raise FileFormatError("%s wants a name" % form)
     name = items[0].name
-    kwargs = _keyword_args(items[1:], line)
+    kwargs = _keyword_args(items[1:])
     for required in (":concl",) + tuple(kw for kw, _, _ in own):
         if required not in kwargs:
-            raise _form_error("%s %s needs %s" % (form, name, required), line)
+            raise FileFormatError("%s %s needs %s" % (form, name, required))
     fields = {"name": name, "hyp": parse_term(kwargs.pop(":hyp", T)),
               "concl": parse_term(kwargs.pop(":concl"))}
     for kw, field, parse in own:
-        try:
-            fields[field] = parse(kwargs.pop(kw), line)
-        except ShapeError as e:
-            raise _form_error(str(e), line) from None
-    fields.update(_common_options(kwargs, line))
+        fields[field] = parse(kwargs.pop(kw))
+    fields.update(_common_options(kwargs))
     if kwargs:
-        raise _form_error("unknown keywords %s in %s %s"
-                          % (", ".join(sorted(kwargs)), form, name), line)
+        raise FileFormatError("unknown keywords %s in %s %s"
+                              % (", ".join(sorted(kwargs)), form, name))
     return fields
 
 
-def _require_bound(needed, bindings, what, line):
+def _require_bound(needed, bindings, what):
     missing = needed - set(bindings)
     if missing:
-        raise _form_error("%s has no binding for %s"
-                          % (what, ", ".join(sorted(missing))), line)
+        raise FileFormatError("%s has no binding for %s"
+                              % (what, ", ".join(sorted(missing))))
 
 
-def _parse_def_gl_thm(items, line):
+def _parse_def_gl_thm(items):
     spec = TheoremSpec(**_parse_theorem(
-        "def-gl-thm", items, line,
+        "def-gl-thm", items,
         [(":g-bindings", "g_bindings", parse_bindings)]))
     _require_bound(free_vars(spec.hyp) | free_vars(spec.concl),
-                   spec.g_bindings, "def-gl-thm %s" % spec.name, line)
+                   spec.g_bindings, "def-gl-thm %s" % spec.name)
     return spec
 
 
-def _parse_def_gl_param_thm(items, line):
+def _parse_def_gl_param_thm(items):
     spec = ParamTheoremSpec(**_parse_theorem(
-        "def-gl-param-thm", items, line,
+        "def-gl-param-thm", items,
         [(":param-bindings", "param_bindings", parse_param_bindings),
-         (":param-hyp", "param_hyp", lambda v, _line: parse_term(v)),
+         (":param-hyp", "param_hyp", parse_term),
          (":cov-bindings", "cov_bindings", parse_bindings)]))
     what = "def-gl-param-thm %s" % spec.name
     needed = free_vars(spec.hyp) | free_vars(spec.concl)
     for assignment, bindings in spec.param_bindings:
         _require_bound(needed, bindings,
-                       "%s: case %s" % (what, sorted(assignment)), line)
-    _require_bound(needed, spec.cov_bindings, what + ": :cov-bindings", line)
+                       "%s: case %s" % (what, sorted(assignment)))
+    _require_bound(needed, spec.cov_bindings, what + ": :cov-bindings")
     stray = (free_vars(spec.param_hyp) - set(spec.param_bindings[0][0])
              - needed - set(spec.cov_bindings))
     if stray:
-        raise _form_error("%s: :param-hyp mentions %s"
-                          % (what, ", ".join(sorted(stray))), line)
+        raise FileFormatError("%s: :param-hyp mentions %s"
+                              % (what, ", ".join(sorted(stray))))
     return spec
 
 
@@ -266,52 +257,51 @@ def _parse_def_gl_param_thm(items, line):
 
 def parse_events(text):
     """All top-level events in file order; validates definitions and
-    theorem well-formedness as it goes."""
+    theorem well-formedness as it goes.  A form's FileFormatError (a
+    ShapeError among them) is raised again with the form's line."""
     events = []
     defs = base_env()
     for form, line, _col in read_values_with_pos(text):
-        if not isinstance(form, Cons) or not isinstance(form.car, Symbol):
-            raise _form_error("unknown top-level form: %s" % print_value(form),
-                              line)
-        head = form.car.name
-        items, tail = list_elements(form.cdr)
-        if tail is not NIL:
-            raise _form_error("malformed %s form" % head, line)
-        if head == "defun":
-            name, formals, body = parse_defun(items)
-            try:
-                defs.define(name, formals, body)  # surfaces duplicates now
-            except FileFormatError as e:
-                raise _form_error(str(e), line) from None
-            events.append(DefunEvent(name, formals, body, line))
-        elif head == "def-gl-thm":
-            events.append(TheoremEvent(_parse_def_gl_thm(items, line), line))
-        elif head == "def-gl-param-thm":
-            events.append(TheoremEvent(_parse_def_gl_param_thm(items, line),
-                                       line))
-        elif head == "set-preferred-def":
-            if len(items) != 2 or not isinstance(items[0], Symbol):
-                raise _form_error(
-                    "set-preferred-def wants a name and a replacement term",
-                    line)
-            events.append(DirectiveEvent(
-                "preferred-def", (items[0].name, parse_term(items[1])), line))
-        elif head == "allow-concrete-exec":
-            names = []
-            for s in items:
-                if not isinstance(s, Symbol):
-                    raise _form_error(
-                        "allow-concrete-exec wants function names", line)
-                names.append(s.name)
-            events.append(DirectiveEvent("concrete-exec", frozenset(names),
-                                         line))
-        elif head == "gl-bdd-mode":
-            events.append(DirectiveEvent("bdd-mode", None, line))
-        elif head == "gl-aig-mode":
-            events.append(DirectiveEvent("aig-mode", None, line))
-        else:
-            raise _form_error("unknown top-level form %s" % head, line)
+        try:
+            events.append(_parse_event(form, line, defs))
+        except FileFormatError as e:
+            raise FileFormatError("%d: %s" % (line, e)) from None
     return events
+
+
+def _parse_event(form, line, defs):
+    """The event of one top-level form; a `defun` also goes into `defs`,
+    so a duplicate definition surfaces now."""
+    if not isinstance(form, Cons) or not isinstance(form.car, Symbol):
+        raise FileFormatError("unknown top-level form: %s" % print_value(form))
+    head = form.car.name
+    items, tail = list_elements(form.cdr)
+    if tail is not NIL:
+        raise FileFormatError("malformed %s form" % head)
+    if head == "defun":
+        name, formals, body = parse_defun(items)
+        defs.define(name, formals, body)
+        return DefunEvent(name, formals, body, line)
+    if head == "def-gl-thm":
+        return TheoremEvent(_parse_def_gl_thm(items), line)
+    if head == "def-gl-param-thm":
+        return TheoremEvent(_parse_def_gl_param_thm(items), line)
+    if head == "set-preferred-def":
+        if len(items) != 2 or not isinstance(items[0], Symbol):
+            raise FileFormatError(
+                "set-preferred-def wants a name and a replacement term")
+        return DirectiveEvent(
+            "preferred-def", (items[0].name, parse_term(items[1])), line)
+    if head == "allow-concrete-exec":
+        if not all(isinstance(s, Symbol) for s in items):
+            raise FileFormatError("allow-concrete-exec wants function names")
+        return DirectiveEvent("concrete-exec",
+                              frozenset(s.name for s in items), line)
+    if head == "gl-bdd-mode":
+        return DirectiveEvent("bdd-mode", None, line)
+    if head == "gl-aig-mode":
+        return DirectiveEvent("aig-mode", None, line)
+    raise FileFormatError("unknown top-level form %s" % head)
 
 
 def parse_file(text):

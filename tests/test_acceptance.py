@@ -287,6 +287,38 @@ def test_aig_proofs_run_on_one_solver_each(monkeypatch):
         assert per_proof[before:] == [1] * (len(per_proof) - before), name
 
 
+@pytest.mark.parametrize("mode", ["bdd", "aig"])
+def test_each_proof_frees_its_store_without_the_cycle_collector(
+        monkeypatch, mode):
+    # a store holds its proof's whole graph, caches and solver: it must
+    # go with its last reference, not wait for a collector pass
+    import gc
+    import weakref
+
+    import bitblast.prover
+
+    stores = []
+    original = bitblast.prover.make_engine
+
+    def make_engine(*args, **kwargs):
+        eng = original(*args, **kwargs)
+        stores.append(weakref.ref(eng))
+        return eng
+
+    monkeypatch.setattr(bitblast.prover, "make_engine", make_engine)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name in ("word_mutants.lisp", "fast_logcount_param.lisp"):
+            run_file(str(CORPUS / name), mode=mode, keep_going=True, seed=5)
+        alive = sum(ref() is not None for ref in stores)
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert stores and alive == 0, "%d of %d stores alive" % (alive,
+                                                             len(stores))
+
+
 def test_criterion_11_sat_solver():
     with criterion(11, "1000 seeded CNFs agree with enumeration; "
                        "pigeonhole 4/3 unsat; runs are deterministic"):

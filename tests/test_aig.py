@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from bitblast.aig import (
-    FALSE, SWEEP_STATS, TRUE, AigStore, SatSweep, forced_constants,
+    FALSE, SWEEP_STATS, TRUE, AigStore, forced_constants,
     witness_preference,
 )
 from bitblast.bdd import BddStore
@@ -131,22 +131,21 @@ def test_to_cnf_writes_the_clauses_the_sweep_gives_its_solver():
         return -(code >> 1) if code & 1 else code >> 1
 
     rng = random.Random(23)
-    s = AigStore()
     for trial in range(150):
+        s = AigStore()  # a fresh solver, numbering from zero
         nvars = rng.randrange(1, 9)
         node = build_formula(s, random_formula(rng, nvars, 5))
         if node in (TRUE, FALSE):
             continue
-        sweep = SatSweep(s)
         given = []
-        add = sweep.solver.add_clause
-        sweep.solver.add_clause = lambda codes: (
+        add = s.solver.add_clause
+        s.solver.add_clause = lambda codes: (
             given.append([signed(c) for c in codes]), add(codes))
-        code = sweep._lit(node)
+        code = s._lit(node)
         cnf, out = s.to_cnf(node)
         assert cnf.clauses == given, trial
-        assert (cnf.num_vars, out) == (sweep.solver.nvars, signed(code))
-        assert cnf.var_map == {i: sweep._var[n]
+        assert (cnf.num_vars, out) == (s.solver.nvars, signed(code))
+        assert cnf.var_map == {i: s._var[n]
                                for i, n in s._inputs(node).items()}
 
 

@@ -137,6 +137,27 @@ def test_shape_as_a_case_value_is_a_parse_error(tmp_path):
     assert "case variables take values, not shapes: (:g-number (0 1))" in err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("(defun f (x) x)\n"
+     "(def-gl-thm t1 :hyp (if x) :concl t :g-bindings ((x (:g-boolean 0))))\n",
+     "2: if wants three arguments: (if x)"),
+    ("(defun f (x) x)\n\n(defun g (x) (if x))\n",
+     "3: if wants three arguments: (if x)"),
+    ("\n(def-gl-thm t1 :concl (let ((a x) (a x)) a)\n"
+     "  :g-bindings ((x (:g-boolean 0))))\n",
+     "2: duplicate let binding: (let ((a x) (a x)) a)"),
+    ("(defun f (x) x)\n(set-preferred-def f (if x))\n",
+     "2: if wants three arguments: (if x)"),
+])
+def test_bad_term_names_its_line(tmp_path, text, message):
+    # a malformed term deep in a form reports the form's line
+    f = tmp_path / "t.lisp"
+    f.write_text(text)
+    rc, out, err = run_cli([str(f)])
+    assert rc == 3 and out == ""
+    assert err == "parse error: %s\n" % message
+
+
 @pytest.mark.parametrize("mode", ["bdd", "aig"])
 def test_binding_past_the_node_budget_is_a_resource_limit(tmp_path, mode):
     path = _bindings_file(tmp_path, "((x ,(g-int 0 1 2000)))")

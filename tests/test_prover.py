@@ -454,13 +454,13 @@ def test_forced_constant_budget_is_a_parametrize_resource_limit(defs):
 
 def test_witness_blowup_is_a_counterexample_resource_limit(defs,
                                                           monkeypatch):
-    from bitblast.aig import SatSweep
+    from bitblast.aig import AigStore
     from bitblast.errors import SatBudgetExceeded
 
     def blowup(*args, **kwargs):
         raise SatBudgetExceeded("SAT conflict budget exhausted")
 
-    monkeypatch.setattr(SatSweep, "witness", blowup)
+    monkeypatch.setattr(AigStore, "witness", blowup)
     spec = _spec("lt", "(unsigned-byte-p 4 x)", "(< x 10)",
                  {"x": g_int(0, 1, 5)})
     r = prove_gl_thm(spec, defs, CFG, ProverOptions(mode="aig"))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bitblast.aig import FALSE, TRUE, AigStore, SatSweep
+from bitblast.aig import FALSE, TRUE, AigStore
 from bitblast.errors import SatBudgetExceeded
 from bitblast.sat import BUDGET, SAT, UNSAT, Solver, lit_code, solve_cnf
 
@@ -82,22 +82,21 @@ def test_conflict_budget():
 
 def test_witness_policies():
     store = AigStore()
-    sweep = SatSweep(store)
     b0, b1 = store.var(0), store.var(1)
     # unsat -> none
-    assert sweep.witness(store.and_(b0, store.not_(b0)), "zeros", [0]) is None
+    assert store.witness(store.and_(b0, store.not_(b0)), "zeros", [0]) is None
     # forced single literal under zeros: everything else defaults false
-    env = sweep.witness(b0, "zeros", [0, 1, 2])
+    env = store.witness(b0, "zeros", [0, 1, 2])
     assert env == {0: True, 1: False, 2: False}
     # or(b0, b1) under ones prefers both true
-    env = sweep.witness(store.or_(b0, b1), "ones", [0, 1])
+    env = store.witness(store.or_(b0, b1), "ones", [0, 1])
     assert env[0] is True and env[1] is True
     # witnesses satisfy the node; random is seed-deterministic
     node = store.or_(store.and_(b0, b1), store.var(2))
     for policy in ("zeros", "ones", "random"):
-        env = sweep.witness(node, policy, [0, 1, 2], seed=4)
+        env = store.witness(node, policy, [0, 1, 2], seed=4)
         assert store.eval(node, env) is True
-        assert env == sweep.witness(node, policy, [0, 1, 2], seed=4)
+        assert env == store.witness(node, policy, [0, 1, 2], seed=4)
 
 
 def test_witness_budget_exhaustion():
@@ -116,7 +115,7 @@ def test_witness_budget_exhaustion():
                 root = store.and_(root,
                                   store.not_(store.and_(p[i1][j], p[i2][j])))
     with pytest.raises(SatBudgetExceeded):
-        SatSweep(store).witness(root, "zeros", [])
+        store.witness(root, "zeros", [])
 
 
 def _extreme_models(tt, nvars, prefer):
