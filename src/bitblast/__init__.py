@@ -3,7 +3,7 @@ by symbolic execution over bit-level Boolean encodings, with canonical
 decision diagrams or and-inverter graphs plus SAT underneath."""
 
 from .engine import AigEngine, BddEngine, make_engine
-from .interp import InterpConfig, register_preferred_def, set_debug_hooks, sym_interp
+from .interp import Interp, InterpConfig, register_preferred_def, set_debug_hooks
 from .lang import base_env, parse_term
 from .prover import (
     ParamTheoremSpec,
@@ -19,6 +19,7 @@ from .toplevel import parse_events, parse_file
 __all__ = [
     "AigEngine",
     "BddEngine",
+    "Interp",
     "InterpConfig",
     "ParamTheoremSpec",
     "ProverOptions",
@@ -37,7 +38,6 @@ __all__ = [
     "set_debug_hooks",
     "shape_to_symobj",
     "sym_eval",
-    "sym_interp",
 ]
 
 __version__ = "0.1.0"

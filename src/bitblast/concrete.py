@@ -26,6 +26,10 @@ from .values import (
 
 DEFAULT_STEP_LIMIT = 10 ** 7
 
+# widest number, sign bit included, that a binding, ash or expt may
+# build; wider is refused (a symbolic shift escapes) before memory runs out
+MAX_WIDTH = 1 << 16
+
 
 def _fix(v):
     return v if is_number(v) else 0
@@ -71,15 +75,33 @@ def _logcount(x):
     return x.bit_count()
 
 
+def _width(n):
+    """Bits in n's two's-complement form, sign bit included."""
+    return (n if n >= 0 else ~n).bit_length() + 1
+
+
 def _ash(i, c):
     i, c = _ifix(i), _ifix(c)
-    return i << c if c >= 0 else i >> (-c)
+    if c < 0:
+        return i >> (-c)
+    if i and _width(i) + c > MAX_WIDTH:
+        raise EvalError("ash result wider than %d bits" % MAX_WIDTH)
+    return i << c
 
 
 def _expt(base, e):
     if not is_integer(e) or e < 0:
         raise EvalError("expt wants a non-negative integer exponent, got %r" % (e,))
-    return normalize_number(_fix(base) ** e)
+    base = _fix(base)
+    # |p| ** e has at least e * (bit_length(p) - 1) + 1 bits, so a
+    # power that is surely too wide is refused before it is built
+    if any(e * (abs(p).bit_length() - 1) >= MAX_WIDTH
+           for p in (base.numerator, base.denominator)):
+        raise EvalError("expt result wider than %d bits" % MAX_WIDTH)
+    result = normalize_number(base ** e)
+    if max(_width(result.numerator), _width(result.denominator)) > MAX_WIDTH:
+        raise EvalError("expt result wider than %d bits" % MAX_WIDTH)
+    return result
 
 
 def _floor(a, b):

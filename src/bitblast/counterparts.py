@@ -13,14 +13,15 @@ widths.
 one log shifter (`_barrel`): per count bit, a constant shift by a power
 of two, muxed in only where the bit is symbolic.  A negative count c
 shifts right by one and then by its complemented low bits, which sum
-to -c - 1; the count's sign bit picks the direction.
+to -c - 1; the count's sign bit picks the direction.  `logbitp` runs
+the stages from the top index bit down, each over only the bits that
+the stages below it can still bring to bit 0.
 """
 
-from .concrete import PRIMITIVE_ALIASES, PRIMITIVES, apply_primitive
+from .concrete import MAX_WIDTH, PRIMITIVE_ALIASES, PRIMITIVES, apply_primitive
 from .errors import EvalError, IndeterminateError
 from .values import NIL, T, Cons, is_boolean_value, is_integer, is_number
 from .symobj import (
-    MAX_WIDTH,
     Concrete,
     ConsObj,
     GApply,
@@ -372,8 +373,12 @@ def _logbitp_impl(ctx, args):
     low, sign = ibits[:-1], ibits[-1]
     # a negative index reads bit 0 (nfix)
     neg = None if eng.is_false(sign) else bool_obj(xbits[0], eng)
-    nonneg = None if eng.is_true(sign) else bool_obj(
-        _barrel(eng, xbits, low, -1)[0], eng)
+    nonneg = None
+    if not eng.is_true(sign):
+        # stage j and those below it bring no bit from 2 << j up to bit 0
+        for j in reversed(range(len(low))):
+            xbits = _barrel(eng, xbits[:2 << j], low[j:j + 1], -(1 << j))
+        nonneg = bool_obj(xbits[0], eng)
     return merge_ite(eng, sign, neg, nonneg)
 
 

@@ -24,16 +24,23 @@ class EvalError(BlastError):
     mismatch, or a primitive applied outside its supported domain."""
 
 
-class StepLimitExceeded(BlastError):
+class BudgetExceeded(BlastError):
+    """A run exhausted a budget; each subclass names it in `budget`."""
+
+
+class StepLimitExceeded(BudgetExceeded):
     """The interpreter ran out of its step budget."""
+    budget = "steps"
 
 
-class NodeBudgetExceeded(BlastError):
+class NodeBudgetExceeded(BudgetExceeded):
     """A Boolean-expression store exceeded its node budget."""
+    budget = "nodes"
 
 
-class SatBudgetExceeded(BlastError):
+class SatBudgetExceeded(BudgetExceeded):
     """The SAT solver exceeded its conflict budget."""
+    budget = "sat"
 
 
 class UnsatConstraint(BlastError):

@@ -9,9 +9,10 @@ dispatch per call.
 4. otherwise expand the stored definition.
 
 `if` with a non-constant test interprets both branches and merges the
-results.  The step budget counts interpreter entries plus merges, so
-runaway symbolic recursion surfaces as a resource limit rather than a
-hang.
+results.  One `Interp` serves one proof run.  It counts interpreter
+entries plus merges against `cfg.step_limit`, so runaway symbolic
+recursion surfaces as a resource limit rather than a hang, and keeps
+the run's merge and dispatch counts for its stats.
 """
 
 import json
@@ -26,7 +27,12 @@ from .concrete import (
     eval_concrete,
 )
 from .counterparts import SymbolicContext, apply_counterpart, has_counterpart
-from .errors import EvalError, IndeterminateError, StepLimitExceeded
+from .errors import (
+    EvalError,
+    GApplyBreak,
+    IndeterminateError,
+    StepLimitExceeded,
+)
 from .lang import Call, If, Let, Quote, Var, free_vars, render_term
 from .symobj import Concrete, GIte, merge_ite, render_symobj, truth_expr
 from .values import NIL, T, Cons, Symbol, print_value, values_equal
@@ -63,43 +69,32 @@ def allow_concrete_exec(cfg, names):
                    concrete_exec_fns=cfg.concrete_exec_fns | frozenset(names))
 
 
-class InterpState:
-    """Mutable per-run bookkeeping: step budget, dispatch counters,
-    trace sink."""
+class Interp:
+    """One proof run: its steps against `cfg.step_limit`, its merge and
+    dispatch counts, and its trace sink (standard error by default)."""
 
-    def __init__(self, step_limit=DEFAULT_STEP_LIMIT, trace_out=None):
-        self.step_limit = step_limit
+    def __init__(self, defs, cfg, eng, trace_out=None):
+        self.defs = defs
+        self.cfg = cfg
+        self.eng = eng
         self.steps = 0
         self.merges = 0
         self.dispatch = {"concrete": 0, "counterpart": 0,
                          "preferred": 0, "expand": 0}
         self.trace_out = trace_out if trace_out is not None else sys.stderr
-
-    def tick(self):
-        self.steps += 1
-        if self.steps > self.step_limit:
-            raise StepLimitExceeded(
-                "interpreter step limit (%d) exhausted" % self.step_limit)
-
-    def tick_merge(self):
-        self.merges += 1
-        self.tick()
-
-
-class Interp:
-    def __init__(self, defs, cfg, eng, state=None):
-        self.defs = defs
-        self.cfg = cfg
-        self.eng = eng
-        self.state = state if state is not None else InterpState(cfg.step_limit)
         self.ctx = SymbolicContext(
             eng, on_g_apply=self._on_g_apply if cfg.break_on_g_apply else None)
 
+    def _tick(self):
+        self.steps += 1
+        if self.steps > self.cfg.step_limit:
+            raise StepLimitExceeded(
+                "interpreter step limit (%d) exhausted" % self.cfg.step_limit)
+
     def _on_g_apply(self, fn, args):
-        from .errors import GApplyBreak
         print("escape: (%s %s)" % (fn, " ".join(render_symobj(a, self.eng)
                                                  for a in args)),
-              file=self.state.trace_out)
+              file=self.trace_out)
         raise GApplyBreak(fn, args)
 
     def run(self, term, bindings):
@@ -119,10 +114,10 @@ class Interp:
             if self.cfg.trace == TRACE_VALUES and concrete:
                 line += "   [" + ", ".join("%s = %s" % kv
                                            for kv in concrete.items()) + "]"
-        print(line, file=self.state.trace_out)
+        print(line, file=self.trace_out)
 
     def _interp(self, term, env):
-        self.state.tick()
+        self._tick()
         if isinstance(term, Quote):
             return Concrete(term.value)
         if isinstance(term, Var):
@@ -143,7 +138,8 @@ class Interp:
                 return self._interp(term.els, env)
             then = self._interp(term.then, env)
             els = self._interp(term.els, env)
-            self.state.tick_merge()
+            self.merges += 1
+            self._tick()
             return merge_ite(self.eng, tt, then, els)
         if isinstance(term, Let):
             if term.sequential:
@@ -166,10 +162,10 @@ class Interp:
         cfg = self.cfg
         if all(isinstance(o, Concrete) for o in objs):
             if fn in PRIMITIVES:
-                self.state.dispatch["concrete"] += 1
+                self.dispatch["concrete"] += 1
                 return Concrete(apply_primitive(fn, [o.value for o in objs]))
             if fn in cfg.concrete_exec_fns and fn in self.defs:
-                self.state.dispatch["concrete"] += 1
+                self.dispatch["concrete"] += 1
                 formals, body = self.defs.lookup(fn)
                 if len(formals) != len(objs):
                     raise EvalError("arity mismatch for %s" % fn)
@@ -178,10 +174,10 @@ class Interp:
                                       self.defs)
                 return Concrete(value)
         if has_counterpart(fn):
-            self.state.dispatch["counterpart"] += 1
+            self.dispatch["counterpart"] += 1
             return apply_counterpart(self.ctx, fn, objs)
         if fn in cfg.preferred_defs:
-            self.state.dispatch["preferred"] += 1
+            self.dispatch["preferred"] += 1
             formals, replacement = cfg.preferred_defs[fn]
             if len(formals) != len(objs):
                 raise EvalError("arity mismatch for %s" % fn)
@@ -193,13 +189,8 @@ class Interp:
         if len(formals) != len(objs):
             raise EvalError("arity mismatch for %s: wanted %d, got %d"
                             % (fn, len(formals), len(objs)))
-        self.state.dispatch["expand"] += 1
+        self.dispatch["expand"] += 1
         return self._interp(body, dict(zip(formals, objs)))
-
-
-def sym_interp(term, bindings, defs, cfg, eng, state=None):
-    """Interpret a term over symbolic bindings; see Interp."""
-    return Interp(defs, cfg, eng, state).run(term, bindings)
 
 
 # -- preferred definitions ----------------------------------------------------

@@ -17,16 +17,14 @@ from .concrete import eval_concrete
 from .engine import make_engine
 from .errors import (
     BlastError,
+    BudgetExceeded,
     EvalError,
     GApplyBreak,
     IndeterminateError,
-    NodeBudgetExceeded,
-    SatBudgetExceeded,
-    StepLimitExceeded,
     UnsatConstraint,
 )
 from .aig import forced_constants
-from .interp import Interp, InterpState
+from .interp import Interp
 from .lang import (
     Call,
     If,
@@ -97,52 +95,48 @@ class Counterexample:
 
 
 @dataclass
-class Proved:
+class _Result:
+    """What every verdict carries: its failing case, if any, and stats."""
+    _: KW_ONLY
+    case: str = None
+    stats: dict = None
+
+
+@dataclass
+class Proved(_Result):
     kind = "proved"
     warnings: tuple = ()
-    case: str = None
-    stats: dict = None
 
 
 @dataclass
-class Disproved:
+class Disproved(_Result):
     kind = "disproved"
     counterexamples: list = field(default_factory=list)
-    case: str = None
-    stats: dict = None
 
 
 @dataclass
-class Indeterminate:
+class Indeterminate(_Result):
     kind = "indeterminate"
     offender: str = ""
     examples: dict = None
-    case: str = None
-    stats: dict = None
 
 
 @dataclass
-class CoverageFailed:
+class CoverageFailed(_Result):
     kind = "coverage-failed"
     variable: str = ""
     witness: object = None
-    case: str = None
-    stats: dict = None
 
 
 @dataclass
-class ResourceLimit:
+class ResourceLimit(_Result):
     kind = "resource-limit"
     stage: str = ""
-    case: str = None
-    stats: dict = None
 
 
 @dataclass
-class CoverageOk:
+class CoverageOk(_Result):
     kind = "coverage-ok"
-    case: str = None
-    stats: dict = None
 
 
 @dataclass
@@ -454,11 +448,9 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
         return CoverageOk()
     eng = make_engine(mode, node_budget=opts.node_budget,
                       sat_conflict_budget=opts.sat_conflict_budget)
-    state = InterpState(cfg.step_limit)
-    interp = Interp(defs, cfg, eng, state)
-    indices = []
-    for shape in spec.g_bindings.values():
-        indices.extend(shape_indices(shape))
+    interp = Interp(defs, cfg, eng)
+    indices = [i for shape in spec.g_bindings.values()
+               for i in shape_indices(shape)]
     objs = {}
     stage = "bindings"
     hyp_expr = None
@@ -470,8 +462,7 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
         hyp_expr = truth_expr(h, eng)
         stage = "vacuity"
         if not eng.satisfiable(hyp_expr):
-            return _finish(Proved(warnings=(
-                "vacuous hypothesis: no input satisfies it",)), state, eng)
+            raise UnsatConstraint("no input satisfies the hypothesis")
         stage = "parametrize"
         pobjs, hyp_p = parametrize_bindings(hyp_expr, objs, eng, indices)
         stage = "concl"
@@ -483,44 +474,42 @@ def prove_gl_thm(spec, defs, cfg, opts=None):
             cexs = generate_counterexamples(
                 bad, pobjs, indices, spec.counterexample_count, seed, eng,
                 spec.hyp, spec.concl, defs)
-            verified = [cx for cx in cexs if cx.verified]
-            if not verified:
-                return _finish(Indeterminate(
+            if any(cx.verified for cx in cexs):
+                result = Disproved(counterexamples=cexs)
+            else:
+                result = Indeterminate(
                     offender="no candidate counterexample verified "
                              "concretely",
-                    examples=cexs[0].values if cexs else None), state, eng)
-            return _finish(Disproved(counterexamples=cexs), state, eng)
-        stage = "coverage"
-        failed = check_coverage(spec.hyp, spec.g_bindings, defs,
-                                spec.do_not_expand)
-        if failed is not None:
-            return _finish(CoverageFailed(variable=failed[0],
-                                          witness=failed[1]), state, eng)
-        return _finish(Proved(), state, eng)
+                    examples=cexs[0].values if cexs else None)
+        else:
+            stage = "coverage"
+            failed = check_coverage(spec.hyp, spec.g_bindings, defs,
+                                    spec.do_not_expand)
+            result = Proved() if failed is None else \
+                CoverageFailed(variable=failed[0], witness=failed[1])
     except GApplyBreak as e:
-        offender = "(%s %s)" % (e.fn, " ".join(render_symobj(a, eng)
-                                               for a in e.args))
-        return _finish(Indeterminate(
-            offender=offender,
-            examples=_example_values(objs, hyp_expr, indices, eng, defs)),
-            state, eng)
+        result = Indeterminate(
+            offender="(%s %s)" % (e.fn, " ".join(render_symobj(a, eng)
+                                                 for a in e.args)),
+            examples=_example_values(objs, hyp_expr, indices, eng, defs))
     except IndeterminateError as e:
-        return _finish(Indeterminate(
+        result = Indeterminate(
             offender=render_symobj(e.offender, eng),
-            examples=_example_values(objs, hyp_expr, indices, eng, defs)),
-            state, eng)
-    except StepLimitExceeded:
-        return _finish(ResourceLimit(stage="steps:" + stage), state, eng)
-    except NodeBudgetExceeded:
-        return _finish(ResourceLimit(stage="nodes:" + stage), state, eng)
-    except SatBudgetExceeded:
-        return _finish(ResourceLimit(stage="sat:" + stage), state, eng)
-    except RecursionError:
+            examples=_example_values(objs, hyp_expr, indices, eng, defs))
+    except (BudgetExceeded, RecursionError) as e:
         # the BDD operations and the interpreter recurse once per level
-        return _finish(ResourceLimit(stage="recursion:" + stage), state, eng)
+        budget = e.budget if isinstance(e, BudgetExceeded) else "recursion"
+        result = ResourceLimit(stage="%s:%s" % (budget, stage))
     except UnsatConstraint:
-        return _finish(Proved(warnings=(
-            "vacuous hypothesis: no input satisfies it",)), state, eng)
+        result = Proved(warnings=("vacuous hypothesis: no input satisfies it",))
+    result.stats = {
+        "steps": interp.steps,
+        "merges": interp.merges,
+        "nodes": eng.num_nodes,
+        "dispatch": interp.dispatch,
+        **eng.sat_stats(),
+    }
+    return result
 
 
 def _example_values(objs, hyp_expr, indices, eng, defs):
@@ -536,17 +525,6 @@ def _example_values(objs, hyp_expr, indices, eng, defs):
         return {v: sym_eval(o, env, eng, defs=defs) for v, o in objs.items()}
     except (BlastError, RecursionError):
         return None
-
-
-def _finish(result, state, eng):
-    result.stats = {
-        "steps": state.steps,
-        "merges": state.merges,
-        "nodes": eng.num_nodes,
-        "dispatch": dict(state.dispatch),
-        **eng.sat_stats(),
-    }
-    return result
 
 
 def _add_stats(a, b):

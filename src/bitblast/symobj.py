@@ -14,7 +14,7 @@ and checks the indices; instantiation (`shape_to_symobj`) swaps each
 index for the engine's variable.
 """
 
-from .concrete import apply_fn
+from .concrete import MAX_WIDTH, apply_fn
 from .errors import IndeterminateError, ShapeError
 from .values import (
     NIL,
@@ -29,11 +29,6 @@ from .values import (
     print_value,
     values_equal,
 )
-
-
-# widest number a binding may declare or a shift may build; a wider
-# binding is refused and a wider shift escapes, instead of exhausting memory
-MAX_WIDTH = 1 << 16
 
 
 class SymObj:

@@ -14,9 +14,7 @@ from bitblast.errors import StepLimitExceeded
 from bitblast.interp import (
     Interp,
     InterpConfig,
-    InterpState,
     register_preferred_def,
-    sym_interp,
 )
 from bitblast.prover import ProverOptions, prove_gl_param_thm
 from bitblast.sat import SAT, UNSAT, solve_cnf
@@ -380,15 +378,13 @@ def test_criterion_12_exponential_recursion_regression():
             return obj
 
         eng = BddEngine()
-        state = InterpState(budget)
         with pytest.raises(StepLimitExceeded):
-            sym_interp(term("(filter1 x)"), {"x": symbolic_list(eng, 12)},
-                       defs, InterpConfig(step_limit=budget), eng, state)
+            Interp(defs, InterpConfig(step_limit=budget), eng).run(
+                term("(filter1 x)"), {"x": symbolic_list(eng, 12)})
 
         eng = BddEngine()
         cfg = register_preferred_def(InterpConfig(step_limit=budget),
                                      "filter1", term("(filter2 x)"), defs)
-        state = InterpState(budget)
-        sym_interp(term("(filter1 x)"), {"x": symbolic_list(eng, 12)}, defs,
-                   cfg, eng, state)
-        assert state.steps < budget
+        interp = Interp(defs, cfg, eng)
+        interp.run(term("(filter1 x)"), {"x": symbolic_list(eng, 12)})
+        assert interp.steps < budget

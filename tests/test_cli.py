@@ -269,6 +269,24 @@ def test_bad_preferred_def_is_an_event_error(tmp_path):
     assert "ERROR" in out
 
 
+@pytest.mark.parametrize("mode", ["bdd", "aig"])
+@pytest.mark.parametrize("concl, fn", [
+    ("(equal (ash 1 (expt 2 70)) 0)", "ash"),
+    ("(< 0 (expt 2 (expt 2 40)))", "expt"),
+])
+def test_concrete_result_past_max_width_is_an_error(tmp_path, concl, fn,
+                                                     mode):
+    # refused before Python builds the number, not after running out of
+    # memory or raising OverflowError
+    f = tmp_path / "wide.lisp"
+    f.write_text("(def-gl-thm wide :hyp t :concl %s :g-bindings nil)\n"
+                 % concl)
+    rc, out, _ = run_cli([str(f), "--mode", mode])
+    assert rc == 2
+    assert "ERROR" in out
+    assert "%s result wider than 65536 bits" % fn in out
+
+
 def test_solve_dimacs_flag(tmp_path):
     f = tmp_path / "sat.cnf"
     f.write_text("p cnf 2 2\n1 2 0\n-1 0\n")

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from bitblast import counterparts, lang
-from bitblast.concrete import PRIMITIVES, apply_primitive, eval_concrete
+from bitblast.concrete import (
+    MAX_WIDTH,
+    PRIMITIVES,
+    apply_primitive,
+    eval_concrete,
+)
 from bitblast.errors import EvalError, StepLimitExceeded
 from bitblast.lang import base_env
 from bitblast.values import NIL, T, Cons, Symbol, values_equal
@@ -97,6 +102,29 @@ def test_expt_floor_mod():
     assert apply_primitive("mod", [7, 0]) == 0
     assert apply_primitive("mod", [-7, 2]) == 1
     assert apply_primitive("mod", [Fraction(7, 2), 2]) == Fraction(3, 2)
+
+
+def test_ash_and_expt_refuse_results_past_max_width():
+    # the widest result keeps its sign bit inside MAX_WIDTH bits
+    top = MAX_WIDTH - 1
+    assert apply_primitive("ash", [1, top - 1]) == 1 << (top - 1)
+    assert apply_primitive("ash", [-1, top]) == -1 << top
+    assert apply_primitive("expt", [2, top - 1]) == 1 << (top - 1)
+    assert apply_primitive("expt", [-2, top]) == -1 << top
+    assert apply_primitive("expt", [3, 41_347]) == 3 ** 41_347
+    for args in ([1, top], [-3, top], [1, 2 ** 70]):
+        with pytest.raises(EvalError, match="ash result wider"):
+            apply_primitive("ash", args)
+    for args in ([2, top], [3, 41_348], [Fraction(1, 2), top],
+                 [2, 2 ** 40]):
+        with pytest.raises(EvalError, match="expt result wider"):
+            apply_primitive("expt", args)
+    # results that stay narrow are never refused, however large the count
+    assert apply_primitive("ash", [0, 2 ** 70]) == 0
+    assert apply_primitive("ash", [5, -(2 ** 70)]) == 0
+    assert apply_primitive("expt", [1, 2 ** 70]) == 1
+    assert apply_primitive("expt", [-1, 2 ** 70 + 1]) == -1
+    assert apply_primitive("expt", [0, 2 ** 70]) == 0
 
 
 def test_total_and_deterministic_over_value_grid(defs):

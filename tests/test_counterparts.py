@@ -266,6 +266,21 @@ def test_logbitp_simple(ctx, eng):
         == Concrete(T)
 
 
+def test_logbitp_symbolic_index_node_bound(ctx, eng):
+    # 6 index bits plus sign over a 33-bit word: stages from the top
+    # index bit down only mux the bits that can still reach bit 0, so
+    # the whole read costs well under one full-width mux per index bit
+    index = GNumber(tuple(eng.var(j) for j in range(7)))
+    x = GNumber(tuple(eng.var(7 + i) for i in range(33)))
+    before = eng.num_nodes
+    r = apply_counterpart(ctx, "logbitp", [index, x])
+    assert eng.num_nodes - before < 250
+    for k, v in ((0, 0x1_2345_6789), (32, -1), (40, 1 << 31), (31, 1 << 31)):
+        env = {j: bool(k >> j & 1) for j in range(7)}
+        env.update((7 + i, bool(v >> i & 1)) for i in range(33))
+        assert sym_eval(r, env, eng) == (T if v >> k & 1 else NIL), (k, v)
+
+
 def test_gite_distribution(ctx, eng):
     c = eng.var(0)
     branchy = GIte(GBoolean(c),

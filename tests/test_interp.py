@@ -8,11 +8,9 @@ from bitblast.errors import EvalError, GApplyBreak, StepLimitExceeded
 from bitblast.interp import (
     Interp,
     InterpConfig,
-    InterpState,
     allow_concrete_exec,
     register_preferred_def,
     set_debug_hooks,
-    sym_interp,
 )
 from bitblast.lang import base_env
 from bitblast.symobj import Concrete, ConsObj, GApply, GNumber, sym_eval
@@ -36,10 +34,10 @@ FILTER_SRC = """
 """
 
 
-def run(src, bindings, defs, cfg=None, eng=None, state=None):
+def run(src, bindings, defs, cfg=None, eng=None):
     eng = eng or BddEngine()
     cfg = cfg or InterpConfig()
-    return sym_interp(term(src), bindings, defs, cfg, eng, state)
+    return Interp(defs, cfg, eng).run(term(src), bindings)
 
 
 def symbolic_list(eng, n, bits=2):
@@ -72,8 +70,8 @@ def test_concrete_bindings_randomized_agreement():
         x, y = rng.randint(-300, 300), rng.randint(-300, 300)
         for src in srcs:
             t = term(src)
-            got = sym_interp(t, {"x": Concrete(x), "y": Concrete(y)}, defs,
-                             InterpConfig(), BddEngine())
+            got = Interp(defs, InterpConfig(), BddEngine()).run(
+                t, {"x": Concrete(x), "y": Concrete(y)})
             assert isinstance(got, Concrete)
             want = eval_concrete(t, {"x": x, "y": y}, defs)
             assert values_equal(got.value, want), (src, x, y)
@@ -104,7 +102,7 @@ def test_full_symbolic_agreement():
     ]
     for src in terms:
         t = term(src)
-        obj = sym_interp(t, {"x": x, "y": y}, defs, cfg, eng)
+        obj = Interp(defs, cfg, eng).run(t, {"x": x, "y": y})
         for env in all_envs(8):
             got = sym_eval(obj, env, eng, defs=defs)
             want = eval_concrete(t, {"x": sym_eval(x, env, eng),
@@ -122,41 +120,41 @@ def test_dispatch_priority_counterpart_beats_preferred():
     table["logand"] = (("a", "b"), term("(logand b a)"))
     cfg.preferred_defs = table
     eng = BddEngine()
-    state = InterpState(cfg.step_limit)
+    interp = Interp(defs, cfg, eng)
     x = GNumber(tuple(eng.var(i) for i in range(2)))
-    sym_interp(term("(logand x 1)"), {"x": x}, defs, cfg, eng, state)
-    assert state.dispatch["counterpart"] >= 1
-    assert state.dispatch["preferred"] == 0
+    interp.run(term("(logand x 1)"), {"x": x})
+    assert interp.dispatch["counterpart"] >= 1
+    assert interp.dispatch["preferred"] == 0
     # the preferred def *is* used for a function without a counterpart
-    state = InterpState(cfg.step_limit)
-    sym_interp(term("(my-logand x 1)"), {"x": x}, defs, cfg, eng, state)
-    assert state.dispatch["preferred"] == 1
+    interp = Interp(defs, cfg, eng)
+    interp.run(term("(my-logand x 1)"), {"x": x})
+    assert interp.dispatch["preferred"] == 1
 
 
 def test_dispatch_priority_concrete_beats_counterpart():
     defs = base_env()
     cfg = InterpConfig()
     eng = BddEngine()
-    state = InterpState(cfg.step_limit)
-    sym_interp(term("(+ 1 2)"), {}, defs, cfg, eng, state)
-    assert state.dispatch["concrete"] == 1
-    assert state.dispatch["counterpart"] == 0
+    interp = Interp(defs, cfg, eng)
+    interp.run(term("(+ 1 2)"), {})
+    assert interp.dispatch["concrete"] == 1
+    assert interp.dispatch["counterpart"] == 0
 
 
 def test_concrete_exec_table():
     defs = env_from_defs("(defun triple (x) (* 3 x))")
     cfg = InterpConfig()
     eng = BddEngine()
-    state = InterpState(cfg.step_limit)
-    r = sym_interp(term("(triple 5)"), {}, defs, cfg, eng, state)
+    interp = Interp(defs, cfg, eng)
+    r = interp.run(term("(triple 5)"), {})
     assert r == Concrete(15)
-    assert state.dispatch["expand"] == 1  # expanded, not direct
+    assert interp.dispatch["expand"] == 1  # expanded, not direct
     cfg2 = allow_concrete_exec(cfg, ["triple"])
-    state = InterpState(cfg2.step_limit)
-    r = sym_interp(term("(triple 5)"), {}, defs, cfg2, eng, state)
+    interp = Interp(defs, cfg2, eng)
+    r = interp.run(term("(triple 5)"), {})
     assert r == Concrete(15)
-    assert state.dispatch["concrete"] == 1
-    assert state.dispatch["expand"] == 0
+    assert interp.dispatch["concrete"] == 1
+    assert interp.dispatch["expand"] == 0
 
 
 def test_unknown_function_and_unbound_variable():
@@ -171,17 +169,15 @@ def test_trace_output():
     defs = base_env()
     cfg = InterpConfig(trace="calls")
     out = io.StringIO()
-    state = InterpState(cfg.step_limit, trace_out=out)
-    sym_interp(term("(logcount 5)"), {}, defs, cfg, eng=BddEngine(),
-               state=state)
+    Interp(defs, cfg, BddEngine(), trace_out=out).run(
+        term("(logcount 5)"), {})
     text = out.getvalue()
     assert "logcount" in text
     assert text.startswith("sym>")
     # off -> silent
     out = io.StringIO()
-    state = InterpState(10 ** 6, trace_out=out)
-    sym_interp(term("(logcount 5)"), {}, defs, InterpConfig(), BddEngine(),
-               state)
+    Interp(defs, InterpConfig(), BddEngine(), trace_out=out).run(
+        term("(logcount 5)"), {})
     assert out.getvalue() == ""
 
 
@@ -190,10 +186,9 @@ def test_trace_values_hides_symbolic_bindings():
     eng = BddEngine()
     cfg = InterpConfig(trace="values")
     out = io.StringIO()
-    state = InterpState(cfg.step_limit, trace_out=out)
     x = GNumber((eng.var(0), eng.false))
-    sym_interp(term("(+ x y)"), {"x": x, "y": Concrete(5)}, defs, cfg, eng,
-               state)
+    Interp(defs, cfg, eng, trace_out=out).run(
+        term("(+ x y)"), {"x": x, "y": Concrete(5)})
     text = out.getvalue()
     assert "y = 5" in text
     assert "x =" not in text  # symbolic bindings are hidden
@@ -205,10 +200,9 @@ def test_trace_json_lines():
     eng = BddEngine()
     cfg = InterpConfig(trace="json")
     out = io.StringIO()
-    state = InterpState(cfg.step_limit, trace_out=out)
     x = GNumber((eng.var(0), eng.false))
-    sym_interp(term("(+ x y)"), {"x": x, "y": Concrete(5)}, defs, cfg, eng,
-               state)
+    Interp(defs, cfg, eng, trace_out=out).run(
+        term("(+ x y)"), {"x": x, "y": Concrete(5)})
     lines = [l for l in out.getvalue().splitlines() if l]
     docs = [_json.loads(l) for l in lines]
     assert docs[0]["fn"] == "+"
@@ -220,10 +214,10 @@ def test_break_on_g_apply_diagnostic():
     eng = BddEngine()
     cfg = set_debug_hooks(InterpConfig(), break_on_g_apply=True)
     out = io.StringIO()
-    state = InterpState(cfg.step_limit, trace_out=out)
     x = GNumber(tuple(eng.var(i) for i in range(4)))
     with pytest.raises(GApplyBreak) as e:
-        sym_interp(term("(* 1/2 x)"), {"x": x}, defs, cfg, eng, state)
+        Interp(defs, cfg, eng, trace_out=out).run(term("(* 1/2 x)"),
+                                                  {"x": x})
     assert e.value.fn == "binary-*"
     assert "binary-*" in out.getvalue() and "1/2" in out.getvalue()
 
@@ -233,8 +227,8 @@ def test_step_limit_enforced():
     eng = BddEngine()
     cfg = InterpConfig(step_limit=500)
     with pytest.raises(StepLimitExceeded):
-        sym_interp(term("(filter1 x)"), {"x": symbolic_list(eng, 12)}, defs,
-                   cfg, eng)
+        Interp(defs, cfg, eng).run(term("(filter1 x)"),
+                                   {"x": symbolic_list(eng, 12)})
 
 
 def test_filter_regression_step_budget():
@@ -246,18 +240,16 @@ def test_filter_regression_step_budget():
 
     eng = BddEngine()
     cfg = InterpConfig(step_limit=budget)
-    state = InterpState(budget)
     with pytest.raises(StepLimitExceeded):
-        sym_interp(term("(filter1 x)"), {"x": symbolic_list(eng, 12)}, defs,
-                   cfg, eng, state)
+        Interp(defs, cfg, eng).run(term("(filter1 x)"),
+                                   {"x": symbolic_list(eng, 12)})
 
     eng = BddEngine()
     cfg = register_preferred_def(InterpConfig(step_limit=budget), "filter1",
                                  term("(filter2 x)"), defs)
-    state = InterpState(budget)
-    r = sym_interp(term("(filter1 x)"), {"x": symbolic_list(eng, 12)}, defs,
-                   cfg, eng, state)
-    assert state.steps < budget
+    interp = Interp(defs, cfg, eng)
+    r = interp.run(term("(filter1 x)"), {"x": symbolic_list(eng, 12)})
+    assert interp.steps < budget
     # and the result agrees with the concrete filter on a few points
     for env in ({i: False for i in range(24)},
                 {i: (i % 3 == 0) for i in range(24)},
@@ -293,9 +285,8 @@ def test_filter_preferred_def_expands_once_per_element():
     eng = BddEngine()
     cfg = register_preferred_def(InterpConfig(), "filter1",
                                  term("(filter2 x)"), defs)
-    state = InterpState(cfg.step_limit)
-    sym_interp(term("(filter1 x)"), {"x": symbolic_list(eng, 8)}, defs, cfg,
-               eng, state)
+    interp = Interp(defs, cfg, eng)
+    interp.run(term("(filter1 x)"), {"x": symbolic_list(eng, 8)})
     # one preferred expansion, then linear filter2 expansions
-    assert state.dispatch["preferred"] == 1
-    assert state.dispatch["expand"] <= 3 * 8 + 4
+    assert interp.dispatch["preferred"] == 1
+    assert interp.dispatch["expand"] <= 3 * 8 + 4

@@ -243,9 +243,9 @@ def test_parametrize_bindings_sign_bit_becomes_constant(defs):
     # a 33-bit binding under an unsigned-32 hypothesis loses its sign
     # bit in both realizations
     for eng in (BddEngine(), AigEngine()):
-        from bitblast.interp import sym_interp
+        from bitblast.interp import Interp
         objs = {"x": shape_to_symobj(g_int(0, 1, 33), eng)}
-        h = sym_interp(term("(unsigned-byte-p 32 x)"), objs, defs, CFG, eng)
+        h = Interp(defs, CFG, eng).run(term("(unsigned-byte-p 32 x)"), objs)
         from bitblast.symobj import truth_expr
         hyp_expr = truth_expr(h, eng)
         pobjs, hyp_p = parametrize_bindings(hyp_expr, objs, eng,
@@ -261,10 +261,10 @@ def test_parametrize_bindings_sign_bit_becomes_constant(defs):
 def test_parametrize_bindings_image(defs):
     # exact image property for the canonical realization
     eng = BddEngine()
-    from bitblast.interp import sym_interp
+    from bitblast.interp import Interp
     from bitblast.symobj import truth_expr
     objs = {"x": shape_to_symobj(g_int(0, 1, 5), eng)}
-    h = sym_interp(term("(not (logbitp 0 x))"), objs, defs, CFG, eng)
+    h = Interp(defs, CFG, eng).run(term("(not (logbitp 0 x))"), objs)
     hyp_expr = truth_expr(h, eng)
     pobjs, _ = parametrize_bindings(hyp_expr, objs, eng, list(range(5)))
     assert eng.is_false(pobjs["x"].bits[0])
@@ -466,6 +466,62 @@ def test_witness_blowup_is_a_counterexample_resource_limit(defs,
     r = prove_gl_thm(spec, defs, CFG, ProverOptions(mode="aig"))
     assert r.kind == "resource-limit"
     assert r.stage == "sat:counterexamples"
+
+
+_UB4 = "(unsigned-byte-p 4 x)"
+
+# id -> (hyp, concl, x's width, InterpConfig and ProverOptions fields,
+# expected kind and, for a resource limit, the budget it names)
+_STATS_CASES = {
+    "proved": (_UB4, "(equal (logand x 15) x)", 5, {}, {}, "proved", None),
+    "vacuous": ("(and (< x 0) (unsigned-byte-p 4 x))", "(equal x 99)", 5,
+                {}, {}, "proved", None),
+    "disproved": (_UB4, "(< x 10)", 5, {}, {}, "disproved", None),
+    "escape": (_UB4, "(equal (* 1/2 x) (ash x -1))", 5, {}, {},
+               "indeterminate", None),
+    "break": (_UB4, "(equal (* 1/2 x) (ash x -1))", 5,
+              {"break_on_g_apply": True}, {}, "indeterminate", None),
+    "coverage": (_UB4, "(equal x x)", 4, {}, {}, "coverage-failed", None),
+    "steps": (_UB4, "(equal (logand x 15) x)", 5, {"step_limit": 3}, {},
+              "resource-limit", "steps"),
+    "nodes": (_UB4, "(equal (fast-logcount-32 x) (logcount x))", 5, {},
+              {"node_budget": 30}, "resource-limit", "nodes"),
+    # the BDD store never runs the solver, so the budget stop is forced
+    # in the witness search of both stores
+    "sat": (_UB4, "(< x 10)", 5, {}, {}, "resource-limit", "sat"),
+}
+
+
+@pytest.mark.parametrize("mode", ["bdd", "aig"])
+@pytest.mark.parametrize("case", sorted(_STATS_CASES))
+def test_every_result_kind_carries_the_same_stats(defs, monkeypatch, capsys,
+                                                   mode, case):
+    from bitblast.aig import SWEEP_STATS, AigStore
+    from bitblast.bdd import BddStore
+    from bitblast.errors import SatBudgetExceeded
+
+    hyp, concl, width, cfg_kw, opt_kw, kind, budget = _STATS_CASES[case]
+    if case == "sat":
+        def blowup(*args, **kwargs):
+            raise SatBudgetExceeded("SAT conflict budget exhausted")
+
+        for store in (AigStore, BddStore):
+            monkeypatch.setattr(store, "witness", blowup)
+    spec = _spec(case, hyp, concl, {"x": g_int(0, 1, width)})
+    r = prove_gl_thm(spec, defs, InterpConfig(**cfg_kw),
+                     ProverOptions(mode=mode, **opt_kw))
+    assert r.kind == kind
+    if budget is not None:
+        assert r.stage.startswith(budget + ":"), r.stage
+    if case == "vacuous":
+        assert r.warnings == ("vacuous hypothesis: no input satisfies it",)
+    if case == "break":
+        assert r.offender.startswith("(binary-* 1/2 ")
+        assert capsys.readouterr().err.startswith("escape: (binary-* 1/2 ")
+    assert set(r.stats) == {"steps", "merges", "nodes", "dispatch",
+                            *SWEEP_STATS}
+    assert set(r.stats["dispatch"]) == {"concrete", "counterpart",
+                                        "preferred", "expand"}
 
 
 def _stack_depth():
